@@ -31,7 +31,7 @@ int main() {
 
   std::printf("Ran " EVA_PRId64 " jobs; Eva adopted Full Reconfiguration in %d of %d"
               " rounds.\n\n",
-              static_cast<long long>(metrics.jobs_completed), scheduler.stats().full_adopted,
+              metrics.jobs_completed, scheduler.stats().full_adopted,
               scheduler.stats().rounds);
 
   const ThroughputTable& table = scheduler.throughput_table();

@@ -12,12 +12,13 @@
 //     back at the owner's Reset()/Rewind(). Containers must not outlive it.
 //   * ScratchLease<T> — a per-(thread, nesting-depth) pooled instance of T.
 //     This generalizes the packing-scratch idiom: a plain `thread_local T`
-//     breaks under the ThreadPool's helping Wait(), which can re-enter the
-//     leasing code on the same thread with the outer lease still live, so
-//     leases are framed by depth. Steady state: zero allocations, and —
-//     unlike ad-hoc thread_locals scattered per call site — one audited
-//     mechanism, so pool-size determinism is easy to reason about (scratch
-//     never carries values between uses; every user fully rewrites it).
+//     breaks when the leasing code re-enters itself on the same thread with
+//     the outer lease still live (a set-TNRP miss leases a task list while
+//     each member's TNRP leases another), so leases are framed by depth.
+//     It is per thread because federation tenants decide concurrently.
+//     Steady state: zero allocations, and — unlike ad-hoc thread_locals
+//     scattered per call site — one audited mechanism (scratch never
+//     carries values between uses; every user fully rewrites it).
 //
 // Ownership rule used throughout the engine: an arena (or scratch frame) is
 // owned by exactly one long-lived object (a solver worker, a packing call, a
@@ -185,22 +186,6 @@ class ScratchLease {
   }
 
   T* ptr_;
-};
-
-// A leased per-thread arena, Reset() on acquire: the standard way to get
-// round- or call-scoped bump storage inside parallel sections (Full∥Partial
-// reconfiguration, the parallel B&B workers). Nested leases on the same
-// thread get distinct arenas (depth frames), so a helping Wait() that
-// re-enters arena-using code cannot clobber the outer frame.
-class ScratchArena {
- public:
-  ScratchArena() { lease_->Reset(); }
-  MonotonicArena& operator*() const { return *lease_; }
-  MonotonicArena* operator->() const { return lease_.operator->(); }
-  MonotonicArena* get() const { return lease_.operator->(); }
-
- private:
-  ScratchLease<MonotonicArena> lease_;
 };
 
 }  // namespace eva

@@ -1,5 +1,5 @@
-// A small fixed-size thread pool for running independent experiment
-// simulations in parallel.
+// A small fixed-size thread pool for running independent simulations in
+// parallel: the experiment runner's schedulers and the federation's tenants.
 //
 // Deliberately minimal: Submit() enqueues a task, Wait() blocks until every
 // submitted task has finished. Tasks must not throw (the pool terminates on
@@ -11,9 +11,7 @@
 // Wait() *helps*: while the group is unfinished the waiting thread pops and
 // runs queued pool tasks instead of blocking. That makes nested fan-out safe
 // (a pool task may open its own group and wait on it without deadlocking,
-// even on a single-threaded pool) — the pattern the scheduler decision path
-// uses to evaluate Full and Partial Reconfiguration concurrently while each
-// parallelizes its inner loops on the same pool.
+// even on a single-threaded pool). ParallelFor is built on it.
 
 #ifndef SRC_COMMON_THREAD_POOL_H_
 #define SRC_COMMON_THREAD_POOL_H_

@@ -186,9 +186,7 @@ bool EvaScheduler::SameDecisionInputs(const SchedulingContext& context) const {
 }
 
 void EvaScheduler::ComputeCandidates(const SchedulingContext& context) {
-  PackingOptions packing;
-  packing.pool = pool_.get();
-
+  const PackingOptions packing;
   const bool want_full = options_.policy != EvaOptions::Policy::kPartialOnly;
   const bool want_partial = options_.policy != EvaOptions::Policy::kFullOnly;
 
@@ -198,32 +196,15 @@ void EvaScheduler::ComputeCandidates(const SchedulingContext& context) {
   // the previous configuration while writing work_full_, which is why the
   // memo cannot be the pack destination directly. A candidate the policy
   // does not compute is emptied, matching the fresh-local semantics.
-  if (!want_full) {
+  if (want_full) {
+    ComputeFullCandidate(context, packing);
+  } else {
     work_full_.instances.clear();
   }
-  if (!want_partial) {
-    work_partial_.instances.clear();
-  }
-  const auto compute_full = [&] { ComputeFullCandidate(context, packing); };
-  const auto compute_partial = [&] {
+  if (want_partial) {
     PartialReconfigurationInto(context, *calculator_, packing, work_partial_);
-  };
-
-  if (want_full && want_partial && pool_ != nullptr) {
-    // The two candidates are independent; the calculator's caches are
-    // concurrency-safe and value-deterministic, so this fan-out cannot
-    // change the result.
-    ThreadPool::TaskGroup group(*pool_);
-    group.Submit(compute_full);
-    compute_partial();
-    group.Wait();
   } else {
-    if (want_full) {
-      compute_full();
-    }
-    if (want_partial) {
-      compute_partial();
-    }
+    work_partial_.instances.clear();
   }
 
   memo_.valid = true;
@@ -285,7 +266,6 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
                                         const PackingOptions& packing) {
   if (!incremental_active_) {
     FullReconfigurationInto(context, *calculator_, packing, work_full_);
-    ++stats_.full_packs;
     ++counters_.packs_full;
     if (trace_) {
       trace_.recorder->Instant(trace_.track, "eva.pack.full", context.now_s);
@@ -294,7 +274,6 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
   }
   if (escalation_.escalated()) {
     FullReconfigurationInto(context, *calculator_, packing, work_full_);
-    ++stats_.full_packs;
     ++counters_.packs_escalated;
     escalation_.RecordPack(/*fell_back=*/false);
     NoteExactIncumbent();
@@ -306,7 +285,6 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
   }
   if (!memo_.valid) {
     FullReconfigurationInto(context, *calculator_, packing, work_full_);
-    ++stats_.full_packs;
     ++counters_.packs_full;
     ++counters_.fallback_no_previous;
     escalation_.RecordPack(/*fell_back=*/true);
@@ -323,7 +301,6 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
   const IncrementalOutcome outcome = IncrementalReconfigurationInto(
       context, *calculator_, memo_.full, incremental, work_full_);
   if (outcome == IncrementalOutcome::kIncremental) {
-    ++stats_.incremental_packs;
     ++counters_.packs_incremental;
     if (trace_) {
       trace_.recorder->Instant(trace_.track, "eva.pack.incremental",
@@ -347,7 +324,6 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
   // The incremental path fell back — work_full_ already holds the exact
   // repack, so no reconciliation is owed; account for the reason and let
   // the fallback-rate EMA see it.
-  ++stats_.full_packs;
   ++counters_.packs_full;
   double fallback_reason = 0.0;
   switch (outcome) {
@@ -379,15 +355,6 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
 }
 
 bool EvaScheduler::DecideRound(const SchedulingContext& context) {
-  if (!pool_resolved_) {
-    pool_resolved_ = true;
-    const int threads = options_.max_parallelism == 0 ? ThreadPool::DefaultThreads()
-                                                      : options_.max_parallelism;
-    if (threads > 1) {
-      pool_ = std::make_unique<ThreadPool>(threads);
-    }
-  }
-
   bool unchanged = false;
   if (options_.reuse_unchanged_rounds && memo_.valid) {
     if (memo_.table_version != monitor_.table().Version()) {
@@ -404,9 +371,6 @@ bool EvaScheduler::DecideRound(const SchedulingContext& context) {
   // truth, and the context itself is never copied.
   if (calculator_ == nullptr) {
     calculator_ = std::make_unique<TnrpCalculator>(context, options_.tnrp, &monitor_.table());
-    // Without a pool every pricing call runs on this thread; shed the
-    // cache-shard mutexes.
-    calculator_->set_concurrent(pool_ != nullptr);
   } else {
     calculator_->Rebind(context, &monitor_.table());
   }
@@ -478,8 +442,7 @@ void EvaScheduler::ScheduleInto(const SchedulingContext& context, ClusterConfig&
 }
 
 int EvaScheduler::CoalesceQuiescentRounds(int max_rounds, SimTime period_s) {
-  if (!options_.coalesce_quiescent_rounds || !options_.reuse_unchanged_rounds ||
-      max_rounds <= 0 || period_s <= 0.0) {
+  if (!options_.reuse_unchanged_rounds || max_rounds <= 0 || period_s <= 0.0) {
     return 0;
   }
   // The memo must cover the currently applied configuration, the table must

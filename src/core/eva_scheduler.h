@@ -14,9 +14,10 @@
 //     invalidated per workload row by new throughput observations;
 //   * a round memo replays the previous round's candidate configurations
 //     (and, in ensemble mode, their savings/migration prices) verbatim when
-//     nothing decision-relevant changed — the common quiescent round;
-//   * Full and Partial Reconfiguration run concurrently on a thread pool,
-//     which also fans out the packing's inner argmax and downsizing scans.
+//     nothing decision-relevant changed — the common quiescent round.
+// The decision path runs on the calling thread: round contexts are small
+// (a median of 8 tasks on the 2,000-job trace, 41 on 10,000 jobs), too
+// small for a Full∥Partial or packing fan-out to pay for its hand-offs.
 // The incremental fast path (incremental_packing — on by default for
 // workloads of >= incremental_auto_min_jobs jobs, see IncrementalPacking)
 // replaces Full Reconfiguration with delta-touched repacking via
@@ -37,7 +38,6 @@
 
 #include "src/cloud/delays.h"
 #include "src/common/soa_table.h"
-#include "src/common/thread_pool.h"
 #include "src/core/reconfig_decision.h"
 #include "src/core/throughput_monitor.h"
 #include "src/sched/config_diff.h"
@@ -68,23 +68,14 @@ struct EvaOptions {
 
   EventRateEstimator::Options estimator;
 
-  // --- Decision-path performance knobs (bit-identical results) ----------
+  // --- Decision-path performance knob (bit-identical results) -----------
   // Replay the previous round's candidates when the decision inputs (task
-  // set, placements, instances, throughput table) are unchanged.
+  // set, placements, instances, throughput table) are unchanged. This memo
+  // also backs CoalesceQuiescentRounds, which absorbs engine-certified
+  // quiescent rounds without being invoked at all; the engine's
+  // SimulatorOptions::coalesce_quiescent_rounds decides whether it offers
+  // them.
   bool reuse_unchanged_rounds = true;
-
-  // Absorb engine-certified quiescent rounds without being invoked at all
-  // (see Scheduler::CoalesceQuiescentRounds): the round memo is promoted
-  // from "replay cheaply" to "never wake the scheduler". Per absorbed round
-  // the estimator/statistics updates a memo-replayed Schedule call would
-  // have made are applied verbatim, so the decision trajectory — including
-  // the exact round at which drifting D_hat flips the Full-vs-Partial
-  // choice — is bit-identical. Requires reuse_unchanged_rounds.
-  bool coalesce_quiescent_rounds = true;
-
-  // Worker threads for the decision path: 0 = hardware concurrency,
-  // 1 = serial, n > 1 = exactly n. A pool is spun up only when > 1.
-  int max_parallelism = 0;
 
   // --- Approximate incremental packing (changes configurations) --------
   // Replace Full Reconfiguration with delta-touched repacking seeded from
@@ -110,9 +101,8 @@ struct EvaOptions {
   // distance) and adopt the exact configuration. Counted in *packs* — actual
   // ComputeCandidates invocations — not rounds: memo-replayed and coalesced
   // rounds reproduce the incumbent verbatim, so divergence cannot change
-  // there, and the cadence stays deterministic under batching and across
-  // pool sizes. <= 0 disables periodic reconciliation (on-demand still
-  // works).
+  // there, and the cadence stays deterministic under batching. <= 0
+  // disables periodic reconciliation (on-demand still works).
   int reconcile_every_n_packs = 64;
 
   // Auto-escalation thresholds (see EscalationPolicy).
@@ -129,13 +119,12 @@ class EvaScheduler : public Scheduler {
     int full_adopted = 0;
     int events_seen = 0;
 
-    // Decision-path accounting: rounds replayed from the memo, why the
-    // others were not, and how their Full candidate was produced.
+    // Decision-path accounting: rounds replayed from the memo and why the
+    // others were not. How their Full candidate was produced is counted in
+    // counters() (packs_full, packs_incremental, packs_escalated).
     int rounds_reused = 0;
     int reuse_miss_table = 0;    // Throughput table changed.
     int reuse_miss_context = 0;  // Task set / placements / instances changed.
-    int full_packs = 0;
-    int incremental_packs = 0;
 
     // Subset of rounds_reused absorbed via CoalesceQuiescentRounds — rounds
     // for which the scheduler was never even invoked.
@@ -152,9 +141,7 @@ class EvaScheduler : public Scheduler {
   void BindWorkloadScale(std::size_t expected_jobs) override;
   void ExportCounters(SchedulerCounters& out) const override;
   // Span sink for the decision path (pack mode, reconciliations,
-  // escalations), stamped at context.now_s. Only the Full-candidate branch
-  // emits — the Partial branch may run concurrently on the pool, and one
-  // emitter per track is the determinism contract (see TraceRecorder).
+  // escalations), stamped at context.now_s.
   void BindTrace(const TraceBinding& binding) override { trace_ = binding; }
 
   // On-demand reconciliation: the next incremental pack runs the exact
@@ -171,9 +158,6 @@ class EvaScheduler : public Scheduler {
   const Stats& stats() const { return stats_; }
   const ThroughputTable& throughput_table() const { return monitor_.table(); }
   const EventRateEstimator& event_estimator() const { return estimator_; }
-  const TnrpCalculator::CacheStats* tnrp_cache_stats() const {
-    return calculator_ != nullptr ? &calculator_->cache_stats() : nullptr;
-  }
 
  private:
   // Arrivals + completions since the previous round: straight off the
@@ -186,8 +170,7 @@ class EvaScheduler : public Scheduler {
   // estimates deliberately excluded — the packing never reads them).
   bool SameDecisionInputs(const SchedulingContext& context) const;
 
-  // Computes the candidate configurations for `context` into memo_,
-  // fanning out on pool_ when available.
+  // Computes the candidate configurations for `context` into memo_.
   void ComputeCandidates(const SchedulingContext& context);
 
   // Computes the round's Full candidate into work_full_ — exact, or via the
@@ -219,7 +202,7 @@ class EvaScheduler : public Scheduler {
   // below advances only inside ComputeFullCandidate — exactly once per
   // computed pack, never on memo-replayed or coalesced rounds — so the
   // reconciliation cadence and escalation trajectory are deterministic
-  // under batching and across pool sizes.
+  // under batching.
   bool incremental_active_ = false;
   EscalationPolicy escalation_;
   SchedulerCounters counters_;
@@ -253,8 +236,6 @@ class EvaScheduler : public Scheduler {
   // calls) and permanently to the monitor's table as estimator — which is
   // why Schedule does not copy the context.
   std::unique_ptr<TnrpCalculator> calculator_;
-  std::unique_ptr<ThreadPool> pool_;
-  bool pool_resolved_ = false;
 
   // Previous round's decision-relevant inputs and outputs.
   struct RoundMemo {

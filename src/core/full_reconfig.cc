@@ -5,7 +5,6 @@
 #include "src/common/arena.h"
 #include "src/common/format.h"
 #include "src/common/logging.h"
-#include "src/common/thread_pool.h"
 
 namespace eva {
 namespace {
@@ -15,7 +14,7 @@ bool Fits(const TaskInfo& task, const InstanceType& type, const ResourceVector& 
   return (used + task.DemandFor(type.family)).FitsWithin(type.capacity);
 }
 
-// Result of scanning a candidate range for the TNRP argmax.
+// Result of scanning the candidate pool for the TNRP argmax.
 struct ArgmaxResult {
   int candidate = -1;
   Money tnrp = 0.0;
@@ -23,9 +22,8 @@ struct ArgmaxResult {
 
 // Pooled per-round packing scratch, leased per (thread, nesting level) via
 // the codebase's one sanctioned thread-local scratch mechanism (see
-// common/arena.h): the thread pool's helping Wait() may start another
-// packing on this thread while an inner argmax fan-out is pending, so a
-// plain thread_local buffer would be clobbered mid-pack.
+// common/arena.h); the downsizing step reuses `members` once the greedy
+// pass is done with it.
 struct PackScratch {
   std::vector<bool> assigned;
   std::vector<bool> in_tentative_set;
@@ -33,30 +31,22 @@ struct PackScratch {
   std::vector<std::size_t> member_indices;
 };
 
-// Per-worker scratch for the downsizing fan-out (shrink_one runs on pool
-// threads, so it cannot share the packing frame above).
-struct ShrinkScratch {
-  std::vector<const TaskInfo*> members;
-};
-
 // Caller-facing entry points' pool-building scratch.
 struct PoolScratch {
   std::vector<const TaskInfo*> pool;
 };
 
-// Serial argmax over pool[begin, end): the unassigned, fitting task whose
-// addition maximizes TNRP(members + {task}); earliest index wins exact ties
-// (the `>` below), which is the determinism contract the parallel reduction
-// preserves.
-ArgmaxResult ScanCandidates(std::size_t begin, std::size_t end,
-                            const std::vector<const TaskInfo*>& pool,
+// Argmax over the pool: the unassigned, fitting task whose addition
+// maximizes TNRP(members + {task}); earliest index wins exact ties (the `>`
+// below).
+ArgmaxResult ScanCandidates(const std::vector<const TaskInfo*>& pool,
                             const std::vector<bool>& assigned,
                             const std::vector<bool>& in_tentative_set,
                             const std::vector<const TaskInfo*>& members,
                             const InstanceType& type, const ResourceVector& used,
                             const TnrpCalculator& calculator) {
   ArgmaxResult best;
-  for (std::size_t i = begin; i < end; ++i) {
+  for (std::size_t i = 0; i < pool.size(); ++i) {
     if (assigned[i] || in_tentative_set[i] || !Fits(*pool[i], type, used)) {
       continue;
     }
@@ -81,7 +71,6 @@ void PackByReservationPriceInto(const SchedulingContext& context,
   // "largest ball first" intuition.
   SortTasksByRpDesc(calculator, pool);
 
-  const bool parallel = options.pool != nullptr && options.pool->num_threads() > 1;
   // Per-round scratch, pooled per (thread, nesting level): the packing runs
   // (at least) twice per changed round, and these grow-to-pool-size buffers
   // dominated its allocation profile.
@@ -112,52 +101,20 @@ void PackByReservationPriceInto(const SchedulingContext& context,
 
       while (true) {
         // Pick the unassigned, fitting task that maximizes TNRP(T + {tau}).
-        ArgmaxResult best;
-        if (parallel && pool.size() - num_assigned >= options.parallel_min_candidates) {
-          // Chunked fan-out; combining in chunk order with strict `>` picks
-          // the earliest-index maximum, exactly like the serial scan.
-          const std::size_t chunks =
-              static_cast<std::size_t>(options.pool->num_threads()) + 1;
-          const std::size_t chunk_size = (pool.size() + chunks - 1) / chunks;
-          std::vector<ArgmaxResult> partial(chunks);
-          ThreadPool::TaskGroup group(*options.pool);
-          for (std::size_t c = 0; c < chunks; ++c) {
-            const std::size_t begin = c * chunk_size;
-            const std::size_t end = std::min(pool.size(), begin + chunk_size);
-            if (begin >= end) {
-              break;
-            }
-            group.Submit([&, c, begin, end] {
-              partial[c] = ScanCandidates(begin, end, pool, assigned, in_tentative_set,
-                                          members, type, used, calculator);
-            });
-          }
-          group.Wait();
-          for (const ArgmaxResult& chunk : partial) {
-            if (chunk.candidate < 0) {
-              continue;
-            }
-            if (best.candidate < 0 || chunk.tnrp > best.tnrp) {
-              best = chunk;
-            }
-          }
-        } else {
-          best = ScanCandidates(0, pool.size(), pool, assigned, in_tentative_set, members,
-                                type, used, calculator);
-        }
-        const int best_candidate = best.candidate;
-        const Money best_candidate_tnrp = best.tnrp;
-        if (best_candidate < 0) {
+        const ArgmaxResult best = ScanCandidates(pool, assigned, in_tentative_set, members,
+                                                 type, used, calculator);
+        if (best.candidate < 0) {
           break;  // Nothing fits anymore.
         }
-        if (!members.empty() && best_candidate_tnrp < best_set_tnrp) {
+        if (!members.empty() && best.tnrp < best_set_tnrp) {
           break;  // Line 9-11: adding would reduce the set's TNRP.
         }
-        members.push_back(pool[static_cast<std::size_t>(best_candidate)]);
-        member_indices.push_back(static_cast<std::size_t>(best_candidate));
-        in_tentative_set[static_cast<std::size_t>(best_candidate)] = true;
-        used += pool[static_cast<std::size_t>(best_candidate)]->DemandFor(type.family);
-        best_set_tnrp = best_candidate_tnrp;
+        const auto chosen = static_cast<std::size_t>(best.candidate);
+        members.push_back(pool[chosen]);
+        member_indices.push_back(chosen);
+        in_tentative_set[chosen] = true;
+        used += pool[chosen]->DemandFor(type.family);
+        best_set_tnrp = best.tnrp;
       }
 
       // Line 14: keep the instance only if the assignment is cost-efficient.
@@ -183,15 +140,8 @@ void PackByReservationPriceInto(const SchedulingContext& context,
   // type but fits a cheaper one moves there (e.g. two 2-GPU tasks packed
   // while iterating the 8-GPU type fit the 4-GPU type at half the price).
   if (options.shrink_to_cheapest_type) {
-    // Each instance's best type is independent of the others — the natural
-    // "independent instance-type candidates" fan-out. Writes are disjoint
-    // and the per-instance scan is deterministic, so serial and parallel
-    // results are identical.
-    const std::size_t num_packed = out.used() - pack_begin;
-    const auto shrink_one = [&](std::size_t index) {
-      ConfigInstance& instance = out[pack_begin + index];
-      ScratchLease<ShrinkScratch> shrink;
-      std::vector<const TaskInfo*>& members = shrink->members;
+    for (std::size_t index = pack_begin; index < out.used(); ++index) {
+      ConfigInstance& instance = out[index];
       members.clear();
       for (TaskId id : instance.tasks) {
         if (const TaskInfo* task = context.FindTask(id)) {
@@ -222,13 +172,6 @@ void PackByReservationPriceInto(const SchedulingContext& context,
         }
       }
       instance.type_index = best_type;
-    };
-    if (parallel && num_packed >= 8) {
-      options.pool->ParallelFor(num_packed, shrink_one);
-    } else {
-      for (std::size_t i = 0; i < num_packed; ++i) {
-        shrink_one(i);
-      }
     }
   }
 

@@ -20,8 +20,6 @@
 
 namespace eva {
 
-class ThreadPool;
-
 struct PackingResult {
   std::vector<ConfigInstance> instances;
 
@@ -44,16 +42,6 @@ struct PackingOptions {
   // an instance type, switch to the cheapest type that still fits the set.
   // Never increases cost, so cost-efficiency is preserved.
   bool shrink_to_cheapest_type = true;
-
-  // When set (and the pool has >1 worker), the candidate argmax and the
-  // downsizing step fan out onto this pool. The parallel reductions pick
-  // the same element as the serial scans (earliest index among exact-tie
-  // maxima), so the returned configuration is bit-identical either way.
-  ThreadPool* pool = nullptr;
-
-  // Candidate-count floor below which the argmax stays serial (fan-out
-  // overhead would dominate).
-  std::size_t parallel_min_candidates = 48;
 };
 
 // Cursor-based appender over an existing ConfigInstance vector. Append()

@@ -9,10 +9,9 @@
 namespace eva {
 namespace {
 
-// Per-call scratch, leased per (thread, depth) — the incremental path runs
-// on a pool worker concurrently with Partial Reconfiguration. The two
-// membership sets are epoch-stamped columns over the dense task-id space:
-// O(1) Clear, no per-insert node allocation.
+// Per-call scratch, leased per (thread, depth). The two membership sets are
+// epoch-stamped columns over the dense task-id space: O(1) Clear, no
+// per-insert node allocation.
 struct IncrementalScratch {
   EpochColumn<char> retargeted;
   EpochColumn<char> kept_tasks;

@@ -6,7 +6,7 @@ namespace eva {
 namespace {
 
 // Per-call scratch, leased per (thread, depth): Partial Reconfiguration runs
-// every changed round (often concurrently with Full on a pool worker).
+// every changed round.
 struct PartialScratch {
   std::vector<const TaskInfo*> pool;
   std::vector<const TaskInfo*> members;

@@ -78,9 +78,7 @@ void TnrpCalculator::Rebind(const SchedulingContext& context,
   bound_catalog_ = context.catalog;
   const bool estimator_changed = this->estimator() != previous;
   if (catalog_changed) {
-    for (RpShard& shard : rp_shards_) {
-      shard.cache.clear();
-    }
+    rp_sparse_.clear();
     std::fill(rp_flat_filled_.begin(), rp_flat_filled_.end(), 0);
   }
   GrowRpFlat();
@@ -88,7 +86,7 @@ void TnrpCalculator::Rebind(const SchedulingContext& context,
     // TNRP values embed both RPs (catalog-derived) and throughput estimates;
     // version stamps only track mutations of the *same* estimator object.
     for (TnrpShard& shard : tnrp_shards_) {
-      shard.cache.Clear();
+      shard.Clear();
     }
     for (SetShard& shard : set_shards_) {
       shard.cache.Clear();
@@ -103,8 +101,8 @@ void TnrpCalculator::Rebind(const SchedulingContext& context,
   // deterministic, so the decision trajectory stays reproducible.
   constexpr std::size_t kMaxCachedEntriesPerShard = std::size_t{1} << 16;
   for (TnrpShard& shard : tnrp_shards_) {
-    if (shard.cache.size() > kMaxCachedEntriesPerShard) {
-      shard.cache.Clear();
+    if (shard.size() > kMaxCachedEntriesPerShard) {
+      shard.Clear();
     }
   }
   for (SetShard& shard : set_shards_) {
@@ -140,39 +138,28 @@ Money TnrpCalculator::ComputeReservationPrice(const TaskInfo& task) const {
 
 TnrpCalculator::RpEntry TnrpCalculator::RpEntryFor(const TaskInfo& task) const {
   const auto index = static_cast<std::size_t>(task.id);
-  if (task.id >= 0 && index < rp_flat_.size()) {
-    RpShard& shard = rp_shards_[index % kNumShards];  // Mutex reused as slot guard.
-    {
-      MaybeLock lock(shard.mutex, concurrent_);
-      if (rp_flat_filled_[index]) {
-        cache_stats_.rp_hits.fetch_add(1, std::memory_order_relaxed);
-        return rp_flat_[index];
-      }
-    }
-    RpEntry entry;
-    entry.rp = ComputeReservationPrice(task);
-    entry.job_size = context_->JobSize(task.job);
-    MaybeLock lock(shard.mutex, concurrent_);
-    cache_stats_.rp_misses.fetch_add(1, std::memory_order_relaxed);
-    rp_flat_[index] = entry;
-    rp_flat_filled_[index] = 1;
-    return entry;
+  const bool flat = task.id >= 0 && index < rp_flat_.size();
+  if (flat && rp_flat_filled_[index]) {
+    ++cache_stats_.rp_hits;
+    return rp_flat_[index];
   }
-  RpShard& shard = rp_shards_[index % kNumShards];
-  {
-    MaybeLock lock(shard.mutex, concurrent_);
-    const auto cached = shard.cache.find(task.id);
-    if (cached != shard.cache.end()) {
-      cache_stats_.rp_hits.fetch_add(1, std::memory_order_relaxed);
+  if (!flat) {
+    const auto cached = rp_sparse_.find(task.id);
+    if (cached != rp_sparse_.end()) {
+      ++cache_stats_.rp_hits;
       return cached->second;
     }
   }
+  ++cache_stats_.rp_misses;
   RpEntry entry;
   entry.rp = ComputeReservationPrice(task);
   entry.job_size = context_->JobSize(task.job);
-  MaybeLock lock(shard.mutex, concurrent_);
-  cache_stats_.rp_misses.fetch_add(1, std::memory_order_relaxed);
-  shard.cache[task.id] = entry;
+  if (flat) {
+    rp_flat_[index] = entry;
+    rp_flat_filled_[index] = 1;
+  } else {
+    rp_sparse_[task.id] = entry;
+  }
   return entry;
 }
 
@@ -211,8 +198,8 @@ Money TnrpCalculator::TaskTnrpOneImpl(const TaskInfo& task, const TaskInfo& part
   // Audited exception to the ScratchLease rule: this is the hottest TNRP
   // leaf (every pairwise fold), the buffer is written immediately before
   // its only use, and no call between the write and ComputeTnrp can re-enter
-  // this function on the same thread (no pool Wait on the path) — so a
-  // plain thread_local cannot be clobbered mid-use here.
+  // this function on the same thread — so a plain thread_local cannot be
+  // clobbered mid-use here.
   thread_local std::vector<WorkloadId> one(1);
   one[0] = partner.workload;
   return ComputeTnrp(task, one, rp, job_size);
@@ -262,23 +249,18 @@ Money TnrpCalculator::TaskTnrp(const TaskInfo& task,
   const std::uint64_t row_version =
       throughput != nullptr ? throughput->RowVersion(task.workload) : 0;
 
-  // Shard selection is deliberately cheaper than the map's own hash (which
-  // find() recomputes anyway): any partition works, values are unaffected.
-  TnrpShard& shard =
-      tnrp_shards_[static_cast<std::size_t>(task.id) % kNumShards];
+  // Shard selection is deliberately cheaper than the map's own hash: any
+  // partition works, values are unaffected.
+  TnrpShard& shard = tnrp_shards_[static_cast<std::size_t>(task.id) % kNumShards];
   const std::size_t key_hash = TnrpKeyHash()(key);
-  {
-    MaybeLock lock(shard.mutex, concurrent_);
-    const TnrpEntry* cached = shard.cache.Find(key, key_hash);
-    if (cached != nullptr && cached->row_version == row_version) {
-      cache_stats_.tnrp_hits.fetch_add(1, std::memory_order_relaxed);
-      return cached->value;
-    }
+  const TnrpEntry* cached = shard.Find(key, key_hash);
+  if (cached != nullptr && cached->row_version == row_version) {
+    ++cache_stats_.tnrp_hits;
+    return cached->value;
   }
+  ++cache_stats_.tnrp_misses;
   const Money value = ComputeTnrp(task, partner_workloads, rp, entry.job_size);
-  MaybeLock lock(shard.mutex, concurrent_);
-  cache_stats_.tnrp_misses.fetch_add(1, std::memory_order_relaxed);
-  shard.cache.Upsert(key, key_hash, [&] { return key; }) = {value, row_version};
+  shard.Upsert(key, key_hash, [&] { return key; }) = {value, row_version};
   return value;
 }
 
@@ -306,21 +288,17 @@ Money TnrpCalculator::CachedSetTnrp(const SetKey& key, std::uint64_t row_sum,
                                     const ComputeFn& compute) const {
   // `key` is typically a thread-local scratch: it is only copied into the
   // cache on a miss, so the hit path allocates nothing. The shard selector
-  // is cheaper than the map hash (recomputed by find() regardless).
+  // is cheaper than the map hash.
   SetShard& shard = set_shards_[static_cast<std::size_t>(
                                     key.members.front() + key.members.size()) %
                                 kNumShards];
-  {
-    MaybeLock lock(shard.mutex, concurrent_);
-    const SetEntry* cached = shard.cache.Find(key, key.hash);
-    if (cached != nullptr && cached->row_sum == row_sum) {
-      cache_stats_.set_hits.fetch_add(1, std::memory_order_relaxed);
-      return cached->value;
-    }
+  const SetEntry* cached = shard.cache.Find(key, key.hash);
+  if (cached != nullptr && cached->row_sum == row_sum) {
+    ++cache_stats_.set_hits;
+    return cached->value;
   }
+  ++cache_stats_.set_misses;
   const Money value = compute();
-  MaybeLock lock(shard.mutex, concurrent_);
-  cache_stats_.set_misses.fetch_add(1, std::memory_order_relaxed);
   shard.cache.Upsert(key, key.hash, [&] {
     // First insertion of this set: intern the member sequence.
     StoredSetKey stored;

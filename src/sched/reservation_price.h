@@ -17,20 +17,17 @@
 //     family), stamped with the throughput estimator's row version at
 //     compute time — entries invalidate themselves exactly when new
 //     observations change the estimates they were derived from.
-// Both caches are sharded + mutex-guarded, so lookups may run concurrently
-// (the parallel packing paths); values are pure functions of their keys, so
-// concurrent recomputation is race-benign. Rebind() points a long-lived
-// calculator at the next round's context while keeping the caches.
+// Rebind() points a long-lived calculator at the next round's context while
+// keeping the caches. A calculator is not thread-safe: every pricing call
+// of one calculator must come from one thread at a time.
 
 #ifndef SRC_SCHED_RESERVATION_PRICE_H_
 #define SRC_SCHED_RESERVATION_PRICE_H_
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -52,15 +49,13 @@ class TnrpCalculator {
     bool multi_task_aware = true;
   };
 
-  // Atomic (relaxed) so concurrent shards can bump counters without a data
-  // race; reads are monotonic snapshots, not a consistent cut.
   struct CacheStats {
-    std::atomic<std::uint64_t> rp_hits{0};
-    std::atomic<std::uint64_t> rp_misses{0};
-    std::atomic<std::uint64_t> tnrp_hits{0};
-    std::atomic<std::uint64_t> tnrp_misses{0};
-    std::atomic<std::uint64_t> set_hits{0};
-    std::atomic<std::uint64_t> set_misses{0};
+    std::uint64_t rp_hits = 0;
+    std::uint64_t rp_misses = 0;
+    std::uint64_t tnrp_hits = 0;
+    std::uint64_t tnrp_misses = 0;
+    std::uint64_t set_hits = 0;
+    std::uint64_t set_misses = 0;
   };
 
   // `estimator` overrides context.throughput when given — long-lived
@@ -74,8 +69,6 @@ class TnrpCalculator {
   // stable identities (the same id always denotes the same demands,
   // workload, speedups, and job size). The caches are dropped automatically
   // when the bound catalog or throughput estimator is a different object.
-  // Not thread-safe against concurrent pricing calls; rebind between
-  // rounds, not during one.
   void Rebind(const SchedulingContext& context,
               const ThroughputEstimator* estimator = nullptr);
 
@@ -114,14 +107,15 @@ class TnrpCalculator {
   const Options& options() const { return options_; }
   const CacheStats& cache_stats() const { return cache_stats_; }
 
-  // Cache-shard locking toggle. Defaults to true (safe under the parallel
-  // packing paths); a caller that prices strictly from one thread may turn
-  // it off to shed the per-lookup mutex cost. Values are unaffected.
-  void set_concurrent(bool concurrent) { concurrent_ = concurrent; }
-
  private:
-  // Shard count balances mutex contention (parallel packing) against
-  // per-lookup overhead; maps stay small enough per shard either way.
+  // The TNRP and set memos are each split over kNumShards tables, for
+  // memory rather than for concurrency. A FlatMemoMap (and a set shard's
+  // id blob) doubles when it grows, holding the old and new storage alive
+  // together during the copy; split 16 ways, each doubling moves about a
+  // sixteenth of the memo. Under a provider denial storm the set memo
+  // holds ~50k sets (~230k interned ids) within one spot price step, and
+  // a single table and blob raised fed3_hostile's peak RSS by a third. The
+  // per-shard size bound in Rebind likewise ages a sixteenth at a time.
   static constexpr std::size_t kNumShards = 16;
 
   // Partner workloads are packed 7 bits each (Table 7's universe is ten
@@ -164,20 +158,12 @@ class TnrpCalculator {
     int job_size = 1;
   };
 
-  struct RpShard {
-    mutable std::mutex mutex;
-    std::unordered_map<TaskId, RpEntry> cache;  // Fallback for sparse ids.
-  };
-
   // Memo shards live in flat open-addressing tables (FlatMemoMap): the
   // node-based unordered_maps they replace allocated on every miss — the
   // single largest allocation source of the 10k/50k sweep. The tables are
   // lookup-only (never iterated), so the layout change cannot affect any
   // value or order the scheduler produces.
-  struct TnrpShard {
-    mutable std::mutex mutex;
-    FlatMemoMap<TnrpKey, TnrpEntry, TnrpKeyHash> cache;
-  };
+  using TnrpShard = FlatMemoMap<TnrpKey, TnrpEntry, TnrpKeyHash>;
 
   struct SetKey {
     std::size_t hash = 0;  // Precomputed at key build; the map hash is O(1).
@@ -229,8 +215,13 @@ class TnrpCalculator {
     }
   };
 
+  // `cache` compares against `blob` through a pointer, so a shard is
+  // never copied.
   struct SetShard {
-    mutable std::mutex mutex;
+    SetShard() = default;
+    SetShard(const SetShard&) = delete;
+    SetShard& operator=(const SetShard&) = delete;
+
     std::vector<TaskId> blob;  // Interned member sequences (cleared with cache).
     FlatMemoMap<StoredSetKey, SetEntry, StoredSetKeyHash, StoredSetKeyEq> cache{
         StoredSetKeyHash{}, StoredSetKeyEq{&blob}};
@@ -266,34 +257,13 @@ class TnrpCalculator {
   Money CachedSetTnrp(const SetKey& key, std::uint64_t row_sum,
                       const ComputeFn& compute) const;
 
-  // Locks a shard mutex only when concurrent pricing is enabled.
-  class MaybeLock {
-   public:
-    MaybeLock(std::mutex& mutex, bool enabled) : mutex_(enabled ? &mutex : nullptr) {
-      if (mutex_ != nullptr) {
-        mutex_->lock();
-      }
-    }
-    ~MaybeLock() {
-      if (mutex_ != nullptr) {
-        mutex_->unlock();
-      }
-    }
-    MaybeLock(const MaybeLock&) = delete;
-    MaybeLock& operator=(const MaybeLock&) = delete;
-
-   private:
-    std::mutex* mutex_;
-  };
-
   // Grows the flat RP cache to cover the bound context's task ids (called
-  // from Rebind, between rounds — never concurrently with pricing).
+  // from Rebind, between rounds).
   void GrowRpFlat();
 
   const SchedulingContext* context_;
   Options options_;
   const ThroughputEstimator* estimator_;
-  bool concurrent_ = true;
 
   // Catalog the caches were computed against. Rebind must compare the new
   // context's catalog against this saved value, NOT against
@@ -307,14 +277,13 @@ class TnrpCalculator {
   // Flat RP cache for the dense task-id universe (simulator ids are
   // sequential): the RP lookup is the innermost pricing primitive, and a
   // vector index beats the hash probe it replaces by an order of magnitude.
-  // Shard mutexes still guard slot fill under concurrent pricing; ids beyond
-  // the flat range (hand-built contexts) fall back to the sharded maps.
+  // Ids beyond the flat range (hand-built contexts) fall back to the map.
   mutable std::vector<RpEntry> rp_flat_;
   mutable std::vector<std::uint8_t> rp_flat_filled_;
-  mutable std::array<RpShard, kNumShards> rp_shards_;
+  mutable std::unordered_map<TaskId, RpEntry> rp_sparse_;
   mutable std::array<TnrpShard, kNumShards> tnrp_shards_;
   mutable std::array<SetShard, kNumShards> set_shards_;
-  mutable CacheStats cache_stats_;  // Approximate under concurrency.
+  mutable CacheStats cache_stats_;
 };
 
 // Sorts tasks by descending reservation price with deterministic ascending-id

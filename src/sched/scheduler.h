@@ -87,10 +87,9 @@ class Scheduler {
   // Hands the scheduler a span sink on its owner's trace track (the
   // simulator calls this at construction when tracing is enabled; never
   // called when it is off). Spans must be stamped with the context's
-  // virtual time, and only the serially-executing decision path may emit —
-  // a scheduler fanning work out to a pool must confine emission to one
-  // branch so the track's span order stays deterministic. Default: ignore
-  // (untraced schedulers).
+  // virtual time and emitted from the thread running the round, so the
+  // track's span order stays deterministic. Default: ignore (untraced
+  // schedulers).
   virtual void BindTrace(const TraceBinding& binding) { (void)binding; }
 
   // Adds this run's decision-path counters into `out` (+=, so federated

@@ -80,16 +80,6 @@ FederationResult RunFederation(const std::vector<FederationTenant>& tenants,
   }
   CloudProvider provider(options.catalog, provider_options);
 
-  // Tenant schedulers default to single-threaded: the federation owns the
-  // parallelism (N tenants x a lazily-created hardware-sized pool each
-  // would oversubscribe the machine ~Nx), and Eva's serial and parallel
-  // decision paths are bit-identical. An explicit max_parallelism is
-  // honored.
-  EvaOptions eva = options.eva;
-  if (eva.max_parallelism == 0) {
-    eva.max_parallelism = 1;
-  }
-
   // Observability. One shared TraceRecorder serves every tenant (each
   // registers its own track at construction); the driver adds a
   // "federation" track for barrier spans, emitted only from this serial
@@ -119,7 +109,7 @@ FederationResult RunFederation(const std::vector<FederationTenant>& tenants,
   const int stagger_slots = std::max(options.stagger_slots, 1);
   for (std::size_t i = 0; i < tenants.size(); ++i) {
     TenantRun run;
-    run.bundle = MakeScheduler(tenants[i].kind, options.interference, eva);
+    run.bundle = MakeScheduler(tenants[i].kind, options.interference, options.eva);
     SimulatorOptions sim_options = options.simulator;
     // The shared provider's own options govern; SimulatorOptions::provider
     // is only consulted when a simulator constructs a private provider.

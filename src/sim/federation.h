@@ -146,13 +146,9 @@ struct FederationResult {
 };
 
 // Runs every tenant to completion against one shared provider and returns
-// per-tenant metrics plus the provider-level tallies.
-//
-// Unless FederationOptions::eva.max_parallelism is set explicitly, tenant
-// schedulers run single-threaded: the federation already parallelizes
-// across tenants, and N tenants each lazily spawning a hardware-sized pool
-// would oversubscribe the machine ~Nx (scheduler results are bit-identical
-// either way).
+// per-tenant metrics plus the provider-level tallies. The federation's pool
+// is the only one: each tenant's scheduler decides on the thread that runs
+// its round.
 FederationResult RunFederation(const std::vector<FederationTenant>& tenants,
                                const FederationOptions& options);
 

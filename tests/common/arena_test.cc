@@ -9,8 +9,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/thread_pool.h"
-
 namespace eva {
 namespace {
 
@@ -158,38 +156,6 @@ TEST(ScratchLeaseTest, FramesArePerThread) {
   });
   worker.join();
   EXPECT_NE(worker_frame, main_frame);
-}
-
-TEST(ScratchArenaTest, ResetOnAcquireAndDepthFramedUnderHelpingWait) {
-  {
-    ScratchArena arena;
-    arena->AllocateArray<double>(1000);
-    EXPECT_GT(arena->BytesUsed(), 0u);
-  }
-  {
-    ScratchArena arena;
-    // Fresh lease at the same depth: reset, memory retained.
-    EXPECT_EQ(arena->BytesUsed(), 0u);
-    EXPECT_GT(arena->BytesReserved(), 0u);
-  }
-  // Parallel sections: every worker (and the helping caller) gets a usable
-  // arena; nested acquisition on the same thread must not clobber frames.
-  ThreadPool pool(3);
-  ThreadPool::TaskGroup group(pool);
-  for (int i = 0; i < 16; ++i) {
-    group.Submit([] {
-      ScratchArena outer;
-      int* a = outer->AllocateArray<int>(64);
-      a[0] = 1;
-      {
-        ScratchArena inner;
-        EXPECT_NE(inner.get(), outer.get());
-        inner->AllocateArray<int>(64);
-      }
-      EXPECT_EQ(a[0], 1);
-    });
-  }
-  group.Wait();
 }
 
 }  // namespace

@@ -246,7 +246,7 @@ TEST_F(EvaSchedulerTest, IncrementalPackingCoversAllTasksAndValidates) {
     seen.insert(instance.tasks.begin(), instance.tasks.end());
   }
   EXPECT_EQ(seen.size(), 6u);
-  EXPECT_GE(scheduler.stats().incremental_packs, 1);
+  EXPECT_GE(scheduler.counters().packs_incremental, 1);
 }
 
 TEST_F(EvaSchedulerTest, BindWorkloadScaleResolvesAutoMode) {
@@ -432,11 +432,12 @@ TEST_F(EvaSchedulerTest, CoalesceRefusesAfterTableChange) {
   EXPECT_EQ(scheduler.CoalesceQuiescentRounds(1, 300.0), 0);
 }
 
+// Coalescing replays the round memo, so turning the memo off turns it off.
 TEST_F(EvaSchedulerTest, CoalesceDisabledByOption) {
   AddTask(WorkloadRegistry::IdOf("ViT"), 1);
   context_.Finalize();
   EvaOptions options;
-  options.coalesce_quiescent_rounds = false;
+  options.reuse_unchanged_rounds = false;
   EvaScheduler scheduler(options);
   scheduler.ObserveThroughput({});
   scheduler.Schedule(context_);

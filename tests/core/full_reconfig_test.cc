@@ -5,7 +5,6 @@
 #include <set>
 
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/workload/trace_gen.h"
 
 namespace eva {
@@ -241,46 +240,6 @@ TEST(FullReconfigEdgeTest, TnrpDecreaseStopsPacking) {
   const ClusterConfig config = FullReconfiguration(context, calculator);
   // Packing both would give 2 * 0.3 * 12.24 = 7.3 < 12.24: each runs alone.
   ASSERT_EQ(config.instances.size(), 2u);
-}
-
-
-// The thread-pool fan-out (candidate argmax + downsizing) must reproduce
-// the serial packing bit-for-bit: the parallel reductions keep the serial
-// tie-breaks (earliest candidate among exact-tie maxima).
-TEST(ParallelPackingTest, PoolAndSerialPackingsAreIdentical) {
-  const InstanceCatalog catalog = InstanceCatalog::AwsDefault();
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    Rng rng(seed);
-    SchedulingContext context;
-    context.catalog = &catalog;
-    for (int i = 0; i < 60; ++i) {
-      const WorkloadId workload =
-          static_cast<WorkloadId>(rng.UniformInt(0, WorkloadRegistry::NumWorkloads() - 1));
-      const WorkloadSpec& spec = WorkloadRegistry::Get(workload);
-      TaskInfo task;
-      task.id = i;
-      task.job = i;
-      task.workload = workload;
-      task.demand_p3 = spec.demand_p3;
-      task.demand_cpu = spec.demand_cpu;
-      context.tasks.push_back(task);
-    }
-    context.Finalize();
-    const TnrpCalculator calculator(context, {});
-    const ClusterConfig serial = FullReconfiguration(context, calculator);
-
-    ThreadPool pool(4);
-    PackingOptions options;
-    options.pool = &pool;
-    options.parallel_min_candidates = 8;  // Force the fan-out path.
-    const ClusterConfig parallel = FullReconfiguration(context, calculator, options);
-
-    ASSERT_EQ(parallel.instances.size(), serial.instances.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < serial.instances.size(); ++i) {
-      EXPECT_EQ(parallel.instances[i].type_index, serial.instances[i].type_index);
-      EXPECT_EQ(parallel.instances[i].tasks, serial.instances[i].tasks);
-    }
-  }
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
 // Observability determinism, end to end on the real engine:
 //
 //  * the recorded trace serialises to byte-identical JSON across repeated
-//    runs AND across scheduler pool sizes {1, 2, 8} (single simulator) and
-//    federation driver pool sizes {1, 2, 8} (shared recorder, per-tenant
-//    tracks) — spans are stamped in virtual time, so the trace inherits
-//    the engine's bit-determinism;
+//    runs (single simulator) AND across federation driver pool sizes
+//    {1, 2, 8} (shared recorder, per-tenant tracks) — spans are stamped in
+//    virtual time, so the trace inherits the engine's bit-determinism;
 //  * turning the whole subsystem on does not perturb the simulation
 //    (metrics bit-identical to an observability-off run);
-//  * per-round flight digests agree across pool sizes, and an injected
+//  * per-round flight digests agree across runs, and an injected
 //    single-round perturbation is localised to exactly that round.
 //
 // (Suites are named Obs* so CI's sanitizer filter picks them up.)
@@ -41,15 +40,11 @@ struct ObservedRun {
   std::string telemetry_json;
 };
 
-// One fully-observed Eva run: trace + flight digests + registry, with the
-// scheduler's own pool at `max_parallelism`.
-ObservedRun RunObserved(const Trace& trace, int max_parallelism,
-                        FlightRecorder* flight) {
+// One fully-observed Eva run: trace + flight digests + registry.
+ObservedRun RunObserved(const Trace& trace, FlightRecorder* flight) {
   const InstanceCatalog catalog = InstanceCatalog::AwsDefault();
   const InterferenceModel interference = InterferenceModel::Measured();
-  EvaOptions eva;
-  eva.max_parallelism = max_parallelism;
-  SchedulerBundle bundle = MakeScheduler(SchedulerKind::kEva, interference, eva);
+  SchedulerBundle bundle = MakeScheduler(SchedulerKind::kEva, interference);
 
   TraceRecorder recorder;
   TelemetryRegistry registry;
@@ -67,30 +62,19 @@ ObservedRun RunObserved(const Trace& trace, int max_parallelism,
   return run;
 }
 
-TEST(ObsDeterminismTest, TraceBytesIdenticalAcrossRunsAndPoolSizes) {
+TEST(ObsDeterminismTest, TraceBytesIdenticalAcrossRuns) {
   const Trace trace = MakeTrace(200);
-  FlightRecorder flight1, flight1b, flight2, flight8;
-  const ObservedRun one = RunObserved(trace, 1, &flight1);
-  const ObservedRun one_again = RunObserved(trace, 1, &flight1b);
-  const ObservedRun two = RunObserved(trace, 2, &flight2);
-  const ObservedRun eight = RunObserved(trace, 8, &flight8);
+  FlightRecorder flight, flight_again;
+  const ObservedRun one = RunObserved(trace, &flight);
+  const ObservedRun again = RunObserved(trace, &flight_again);
 
   ASSERT_FALSE(one.trace_json.empty());
   EXPECT_GT(one.trace_json.find("\"round\""), 0u);
-  // Repeated run: bitwise identical artifacts.
-  EXPECT_EQ(one.trace_json, one_again.trace_json);
-  // Pool sizes {1, 2, 8}: the scheduler fans packing out, but only the
-  // serial decision path emits, so the trace cannot see the pool.
-  EXPECT_EQ(one.trace_json, two.trace_json);
-  EXPECT_EQ(one.trace_json, eight.trace_json);
-  EXPECT_EQ(one.telemetry_json, two.telemetry_json);
-  EXPECT_EQ(one.telemetry_json, eight.telemetry_json);
-
-  // Flight digests agree round for round across every pool size.
-  EXPECT_FALSE(DiffFirstDivergence(flight1, flight1b).has_value());
-  EXPECT_FALSE(DiffFirstDivergence(flight1, flight2).has_value());
-  EXPECT_FALSE(DiffFirstDivergence(flight1, flight8).has_value());
-  EXPECT_GT(flight1.rounds_recorded(), 0);
+  // Repeated run: bitwise identical artifacts, round for round.
+  EXPECT_EQ(one.trace_json, again.trace_json);
+  EXPECT_EQ(one.telemetry_json, again.telemetry_json);
+  EXPECT_FALSE(DiffFirstDivergence(flight, flight_again).has_value());
+  EXPECT_GT(flight.rounds_recorded(), 0);
 }
 
 TEST(ObsDeterminismTest, ObservabilityIsPassive) {
@@ -102,7 +86,7 @@ TEST(ObsDeterminismTest, ObservabilityIsPassive) {
   const SimulationMetrics off = RunSimulation(trace, off_bundle.scheduler.get(),
                                               catalog, interference, SimulatorOptions{});
   FlightRecorder flight;
-  const ObservedRun on = RunObserved(trace, 1, &flight);
+  const ObservedRun on = RunObserved(trace, &flight);
 
   // The observed run replays the exact same trajectory: recording is
   // read-only with respect to the simulation.
@@ -120,8 +104,8 @@ TEST(ObsDeterminismTest, ObservabilityIsPassive) {
 TEST(ObsDeterminismTest, InjectedPerturbationIsLocalisedToItsRound) {
   const Trace trace = MakeTrace(120);
   FlightRecorder a, b;
-  RunObserved(trace, 1, &a);
-  RunObserved(trace, 1, &b);
+  RunObserved(trace, &a);
+  RunObserved(trace, &b);
   ASSERT_FALSE(DiffFirstDivergence(a, b).has_value());
   ASSERT_GT(b.rounds_recorded(), 4);
 

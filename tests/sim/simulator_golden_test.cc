@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <utility>
 
 #include "src/sim/experiment.h"
@@ -212,70 +213,97 @@ TEST(SimulatorGoldenTest, SyntheticEvaPhysicalModeMatchesWithinTolerance) {
 // quiescence-aware round trigger on and off must produce identical
 // SimulationMetrics (every scalar and both distributions) and an identical
 // decision trajectory — the coalesced engine skips only work that is
-// provably a no-op. Run on the 2,000-job Alibaba-like trace, the perf
-// benchmark's headline configuration, where thousands of rounds coalesce.
+// provably a no-op. Two inputs: the 2,000-job Alibaba-like trace, the perf
+// benchmark's headline configuration, where thousands of rounds coalesce;
+// and a 400-job trace on capped provider pools (spot and faults off, so
+// rounds still coalesce), where denied launches interleave with coalesced
+// rounds.
 TEST(SimulatorGoldenTest, RoundBatchingIsBitExactOnAlibaba2000) {
-  AlibabaTraceOptions trace_options;
-  trace_options.num_jobs = 2000;
-  trace_options.seed = 17;
-  trace_options.max_duration_hours = 48.0;
-  const Trace trace = GenerateAlibabaTrace(trace_options);
+  struct Input {
+    const char* name;
+    int num_jobs;
+    bool capped;
+    std::int64_t min_coalesced;
+  };
+  const Input inputs[] = {
+      {"alibaba2000", 2000, false, 1000},
+      {"capped400", 400, true, 1000},
+  };
   const InstanceCatalog catalog = InstanceCatalog::AwsDefault();
   const InterferenceModel interference = InterferenceModel::Measured();
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.name);
+    AlibabaTraceOptions trace_options;
+    trace_options.num_jobs = input.num_jobs;
+    trace_options.seed = 17;
+    trace_options.max_duration_hours = 48.0;
+    const Trace trace = GenerateAlibabaTrace(trace_options);
 
-  const auto run = [&](bool coalesce) {
-    SchedulerBundle bundle = MakeScheduler(SchedulerKind::kEva, interference);
-    SimulatorOptions options;
-    options.coalesce_quiescent_rounds = coalesce;
-    const SimulationMetrics metrics =
-        RunSimulation(trace, bundle.scheduler.get(), catalog, interference, options);
-    return std::make_pair(metrics, bundle.eva->stats());
-  };
-  const auto [batched, batched_stats] = run(true);
-  const auto [plain, plain_stats] = run(false);
+    const auto run = [&](bool coalesce) {
+      SchedulerBundle bundle = MakeScheduler(SchedulerKind::kEva, interference);
+      SimulatorOptions options;
+      options.coalesce_quiescent_rounds = coalesce;
+      if (input.capped) {
+        options.provider.enabled = true;
+        options.provider.family_capacity = {4, 10, 6};
+      }
+      const SimulationMetrics metrics =
+          RunSimulation(trace, bundle.scheduler.get(), catalog, interference, options);
+      return std::make_pair(metrics, bundle.eva->stats());
+    };
+    const auto [batched, batched_stats] = run(true);
+    const auto [plain, plain_stats] = run(false);
 
-  // Batching actually engaged (and the accounting reflects it)...
-  EXPECT_GT(batched.rounds_coalesced, 1000);
-  EXPECT_EQ(batched_stats.rounds_coalesced, batched.rounds_coalesced);
-  EXPECT_EQ(plain.rounds_coalesced, 0);
-  EXPECT_EQ(plain_stats.rounds_coalesced, 0);
+    // Batching actually engaged (and the accounting reflects it)...
+    EXPECT_GT(batched.rounds_coalesced, input.min_coalesced);
+    EXPECT_EQ(batched_stats.rounds_coalesced, batched.rounds_coalesced);
+    EXPECT_EQ(plain.rounds_coalesced, 0);
+    EXPECT_EQ(plain_stats.rounds_coalesced, 0);
+    // ...alongside provider denials on the capped input...
+    EXPECT_EQ(batched.acquisitions_denied > 0, input.capped);
+    EXPECT_EQ(batched.acquisitions_denied, plain.acquisitions_denied);
 
-  // ...while every simulated quantity is bit-identical.
-  EXPECT_EQ(batched.total_cost, plain.total_cost);
-  EXPECT_EQ(batched.jobs_submitted, plain.jobs_submitted);
-  EXPECT_EQ(batched.jobs_completed, plain.jobs_completed);
-  EXPECT_EQ(batched.tasks_total, plain.tasks_total);
-  EXPECT_EQ(batched.instances_launched, plain.instances_launched);
-  EXPECT_EQ(batched.task_migrations, plain.task_migrations);
-  EXPECT_EQ(batched.migrations_per_task, plain.migrations_per_task);
-  EXPECT_EQ(batched.avg_tasks_per_instance, plain.avg_tasks_per_instance);
-  EXPECT_EQ(batched.avg_alloc_gpu, plain.avg_alloc_gpu);
-  EXPECT_EQ(batched.avg_alloc_cpu, plain.avg_alloc_cpu);
-  EXPECT_EQ(batched.avg_alloc_ram, plain.avg_alloc_ram);
-  EXPECT_EQ(batched.avg_norm_job_throughput, plain.avg_norm_job_throughput);
-  EXPECT_EQ(batched.avg_jct_hours, plain.avg_jct_hours);
-  EXPECT_EQ(batched.avg_job_idle_hours, plain.avg_job_idle_hours);
-  EXPECT_EQ(batched.makespan_s, plain.makespan_s);
-  EXPECT_EQ(batched.scheduling_rounds, plain.scheduling_rounds);
-  EXPECT_EQ(batched.events_processed, plain.events_processed);
-  ASSERT_EQ(batched.jct_hours.size(), plain.jct_hours.size());
-  for (std::size_t i = 0; i < plain.jct_hours.size(); ++i) {
-    ASSERT_EQ(batched.jct_hours[i], plain.jct_hours[i]) << "jct " << i;
+    // ...while every simulated quantity is bit-identical.
+    EXPECT_EQ(batched.total_cost, plain.total_cost);
+    EXPECT_EQ(batched.jobs_submitted, plain.jobs_submitted);
+    EXPECT_EQ(batched.jobs_completed, plain.jobs_completed);
+    EXPECT_EQ(batched.tasks_total, plain.tasks_total);
+    EXPECT_EQ(batched.instances_launched, plain.instances_launched);
+    EXPECT_EQ(batched.task_migrations, plain.task_migrations);
+    EXPECT_EQ(batched.migrations_per_task, plain.migrations_per_task);
+    EXPECT_EQ(batched.avg_tasks_per_instance, plain.avg_tasks_per_instance);
+    EXPECT_EQ(batched.avg_alloc_gpu, plain.avg_alloc_gpu);
+    EXPECT_EQ(batched.avg_alloc_cpu, plain.avg_alloc_cpu);
+    EXPECT_EQ(batched.avg_alloc_ram, plain.avg_alloc_ram);
+    EXPECT_EQ(batched.avg_norm_job_throughput, plain.avg_norm_job_throughput);
+    EXPECT_EQ(batched.avg_jct_hours, plain.avg_jct_hours);
+    EXPECT_EQ(batched.avg_job_idle_hours, plain.avg_job_idle_hours);
+    EXPECT_EQ(batched.makespan_s, plain.makespan_s);
+    EXPECT_EQ(batched.scheduling_rounds, plain.scheduling_rounds);
+    EXPECT_EQ(batched.events_processed, plain.events_processed);
+    ASSERT_EQ(batched.jct_hours.size(), plain.jct_hours.size());
+    for (std::size_t i = 0; i < plain.jct_hours.size(); ++i) {
+      ASSERT_EQ(batched.jct_hours[i], plain.jct_hours[i]) << "jct " << i;
+    }
+    ASSERT_EQ(batched.instance_uptime_hours.size(), plain.instance_uptime_hours.size());
+    for (std::size_t i = 0; i < plain.instance_uptime_hours.size(); ++i) {
+      ASSERT_EQ(batched.instance_uptime_hours[i], plain.instance_uptime_hours[i])
+          << "uptime " << i;
+    }
+
+    // The decision trajectory matches too: same round count, same Full
+    // adoptions, same job events seen, same packs — a coalesced round
+    // replays exactly the per-round state updates an invoked round would
+    // have made.
+    EXPECT_EQ(batched_stats.rounds, plain_stats.rounds);
+    EXPECT_EQ(batched_stats.full_adopted, plain_stats.full_adopted);
+    EXPECT_EQ(batched_stats.events_seen, plain_stats.events_seen);
+    const SchedulerCounters& a = batched.scheduler_counters;
+    const SchedulerCounters& b = plain.scheduler_counters;
+    EXPECT_EQ(a.packs_full, b.packs_full);
+    EXPECT_EQ(a.packs_incremental, b.packs_incremental);
+    EXPECT_EQ(a.packs_escalated, b.packs_escalated);
   }
-  ASSERT_EQ(batched.instance_uptime_hours.size(), plain.instance_uptime_hours.size());
-  for (std::size_t i = 0; i < plain.instance_uptime_hours.size(); ++i) {
-    ASSERT_EQ(batched.instance_uptime_hours[i], plain.instance_uptime_hours[i])
-        << "uptime " << i;
-  }
-
-  // The decision trajectory matches too: same round count, same Full
-  // adoptions, same job events seen — a coalesced round replays exactly the
-  // per-round state updates an invoked round would have made.
-  EXPECT_EQ(batched_stats.rounds, plain_stats.rounds);
-  EXPECT_EQ(batched_stats.full_adopted, plain_stats.full_adopted);
-  EXPECT_EQ(batched_stats.events_seen, plain_stats.events_seen);
-  EXPECT_EQ(batched_stats.full_packs, plain_stats.full_packs);
-  EXPECT_EQ(batched_stats.incremental_packs, plain_stats.incremental_packs);
 }
 
 // Batching is engine-gated off in physical mode: noisy observations draw
