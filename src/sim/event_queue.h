@@ -72,9 +72,11 @@ struct SimEvent {
 //   * a hand-rolled 4-ary min-heap — shallower than std::priority_queue's
 //     binary heap, and its four children share a cache line of SimEvents —
 //     for the general population;
-//   * a one-element front slot holding the current minimum, so the engine's
-//     dominant pattern — push an event earlier than everything outstanding
-//     (the completion-check re-arm), pop it next — never sifts the heap.
+//   * a one-element front slot holding the current minimum, so an event
+//     pushed earlier than everything outstanding and popped next (the
+//     completion-check re-arm) never sifts the heap. With same-time
+//     duplicate completion checks folded, that pattern is no longer the
+//     bulk of the event stream; whether the slot still pays is unmeasured.
 // Every cross-lane decision uses the exact event comparator, a strict total
 // order (time, then arrival rank, then sequence number), so the pop
 // sequence — and therefore every simulation — is identical to a plain

@@ -113,13 +113,16 @@ SimTime ExecutionModel::RecomputeDirtyRates(SimTime now) {
   // projection is refreshed every event (remaining work drifts as it is
   // integrated stepwise), matching a full rescan's arming decisions.
   //
-  // The division per job is a top per-event cost, so candidates are
-  // prefiltered by cross-multiplication: remaining_j / rate_j exceeding the
-  // incumbent's quotient implies (rounding is monotone) an ETA at or past
-  // the incumbent's, which the first-wins min would discard anyway. The
-  // margin keeps the filter conservative against multiply rounding; near-
-  // ties fall through to the exact divide, so the returned value — and
-  // every arming decision downstream — is bit-identical to the plain loop.
+  // Candidates are prefiltered by cross-multiplication to skip most per-job
+  // divisions: remaining_j / rate_j exceeding the incumbent's quotient
+  // implies (rounding is monotone) an ETA at or past the incumbent's, which
+  // the first-wins min would discard anyway. The margin keeps the filter
+  // conservative against multiply rounding; near-ties fall through to the
+  // exact divide, so the returned value — and every arming decision
+  // downstream — is bit-identical to the plain loop. With same-time
+  // duplicate completion checks folded, the 10k-job trace runs this scan
+  // ~73k times instead of ~10M; whether the prefilter still pays is
+  // unmeasured.
   RefreshProgressingFlat();
   SimTime earliest = -1.0;
   double best_rem = 0.0;   // Incumbent's clamped remaining work.

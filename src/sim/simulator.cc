@@ -156,7 +156,7 @@ class Simulator::Impl {
   void HandleArrival(std::int64_t job_index);
   void HandleRound();
   void HandleInstanceReady(InstanceId id);
-  void HandleCompletionCheck();
+  void HandleCompletionCheck(SimTime at);
   void HandleSpotCheck();
   void HandleSpotPreempt(InstanceId id);
   void HandleFaultCheck();
@@ -427,7 +427,10 @@ void Simulator::Impl::RecomputeAndArm() {
   const SimTime earliest = exec_.RecomputeDirtyRates(now_);
   // Checks are idempotent (a check that fires early is a no-op and re-arms),
   // so we only push when the new projection is earlier than what is already
-  // armed — this bounds queue growth without missing a completion.
+  // armed. That skips a push per event but does not bound the queue: a
+  // superseded check stays queued, and when it fires it clears the armed
+  // time and re-arms a second copy of the live check. HandleCompletionCheck
+  // folds those same-time copies.
   if (earliest >= 0.0 && earliest < pending_completion_check_ - 1e-9) {
     pending_completion_check_ = earliest;
     queue_.Push(earliest, SimEventType::kCompletionCheck);
@@ -768,7 +771,20 @@ void Simulator::Impl::HandleInstanceReady(InstanceId id) {
   }
 }
 
-void Simulator::Impl::HandleCompletionCheck() {
+void Simulator::Impl::HandleCompletionCheck(SimTime at) {
+  // Fold the run of checks queued directly behind this one at the same
+  // timestamp. Each would pop with dt = 0 (no integration, so no new
+  // candidates), find the candidate set already drained by this check and no
+  // dirty jobs (RecomputeAndArm cleared them), and only re-push the same
+  // projection with the next sequence number, so the copies stay adjacent
+  // and pop as one run again. That is pure multiplicity: folding the run
+  // changes events_processed and nothing else. Checks at distinct times are
+  // not folded: a stale check with dt > 0 splits the stepwise work
+  // integration, and dropping it would move the last bits of the integrals.
+  while (!queue_.Empty() && queue_.Top().time == at &&
+         queue_.Top().type == SimEventType::kCompletionCheck) {
+    queue_.Pop();
+  }
   pending_completion_check_ = std::numeric_limits<SimTime>::infinity();
   if (exec_.completion_candidates().empty()) {
     return;  // A check that fired early; RecomputeAndArm re-arms it.
@@ -1118,7 +1134,7 @@ bool Simulator::Impl::ProcessOneEvent() {
       }
       break;
     case SimEventType::kCompletionCheck:
-      HandleCompletionCheck();
+      HandleCompletionCheck(event.time);
       break;
     case SimEventType::kSpotCheck:
       rates_dirty_since_round_ = true;

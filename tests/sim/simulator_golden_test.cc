@@ -8,6 +8,12 @@
 // perform the exact same floating-point operations as a full rescan, only
 // less often. Physical mode is additionally exercised with a (tight)
 // tolerance, per the stochastic-delay contract.
+//
+// The 2,000-job Alibaba golden was recorded on commit b0051f9, before the
+// engine folded same-time duplicate completion checks; the fold must leave
+// every simulated value of that trace bit-identical. `events_processed` is
+// pinned at the folded engine's counts, so a regrowth of duplicate checks
+// fails here even though it moves no metric.
 
 #include <gtest/gtest.h>
 
@@ -41,6 +47,7 @@ struct GoldenValues {
   double jct_sum;
   std::size_t uptime_size;
   double uptime_sum;
+  std::int64_t events_processed;
 };
 
 double Sum(const std::vector<double>& values) {
@@ -74,6 +81,7 @@ void ExpectBitExact(const SimulationMetrics& m, const GoldenValues& g) {
   EXPECT_EQ(Sum(m.jct_hours), g.jct_sum);
   ASSERT_EQ(m.instance_uptime_hours.size(), g.uptime_size);
   EXPECT_EQ(Sum(m.instance_uptime_hours), g.uptime_sum);
+  EXPECT_EQ(m.events_processed, g.events_processed);
 }
 
 // Physical mode: same recorded-run comparison, but allow a relative drift
@@ -99,6 +107,7 @@ void ExpectWithinTolerance(const SimulationMetrics& m, const GoldenValues& g, do
   EXPECT_NEAR(Sum(m.jct_hours), g.jct_sum, rel * g.jct_sum);
   ASSERT_EQ(m.instance_uptime_hours.size(), g.uptime_size);
   EXPECT_NEAR(Sum(m.instance_uptime_hours), g.uptime_sum, rel * g.uptime_sum);
+  EXPECT_EQ(m.events_processed, g.events_processed);
 }
 
 TEST(SimulatorGoldenTest, SyntheticEvaSimulatedModeIsBitExact) {
@@ -132,6 +141,7 @@ TEST(SimulatorGoldenTest, SyntheticEvaSimulatedModeIsBitExact) {
       /*jct_sum=*/53.368725757391005,
       /*uptime_size=*/32,
       /*uptime_sum=*/52.936666666666675,
+      /*events_processed=*/339,
   };
   ExpectBitExact(metrics, golden);
 }
@@ -167,6 +177,7 @@ TEST(SimulatorGoldenTest, MultiTaskSynergySimulatedModeIsBitExact) {
       /*jct_sum=*/122.81429103578331,
       /*uptime_size=*/40,
       /*uptime_sum=*/413.33333333333326,
+      /*events_processed=*/331,
   };
   ExpectBitExact(metrics, golden);
 }
@@ -205,29 +216,59 @@ TEST(SimulatorGoldenTest, SyntheticEvaPhysicalModeMatchesWithinTolerance) {
       /*jct_sum=*/30.379104429792203,
       /*uptime_size=*/26,
       /*uptime_sum=*/43.589166666666664,
+      /*events_processed=*/180,
   };
   ExpectWithinTolerance(metrics, golden, 1e-9);
 }
+
+// The 2,000-job seed-17 Alibaba-like trace under Eva, coalescing off.
+// Same-time duplicate completion checks were 95% of its events before they
+// were folded (382,023 events, now 20,065), so a change to how checks are
+// armed or folded shows here first.
+const GoldenValues kAlibaba2000Golden = {
+    /*total_cost=*/22793.460498500026,
+    /*jobs_submitted=*/2000,
+    /*jobs_completed=*/2000,
+    /*tasks_total=*/2000,
+    /*instances_launched=*/1449,
+    /*task_migrations=*/1646,
+    /*migrations_per_task=*/0.82299999999999995,
+    /*avg_tasks_per_instance=*/2.3977199596847867,
+    /*avg_alloc_gpu=*/0.64524980327867731,
+    /*avg_alloc_cpu=*/0.71882309785528486,
+    /*avg_alloc_ram=*/0.56065422075965343,
+    /*avg_norm_job_throughput=*/0.89377389127586715,
+    /*avg_jct_hours=*/2.5961442766899361,
+    /*avg_job_idle_hours=*/0.13384856308626344,
+    /*makespan_s=*/2460900.0,
+    /*scheduling_rounds=*/8204,
+    /*jct_size=*/2000,
+    /*jct_sum=*/5192.288553379859,
+    /*uptime_size=*/1449,
+    /*uptime_sum=*/2131.3538888888984,
+    /*events_processed=*/20065,
+};
 
 // Bit-exact equivalence of round batching: the same trace with the
 // quiescence-aware round trigger on and off must produce identical
 // SimulationMetrics (every scalar and both distributions) and an identical
 // decision trajectory — the coalesced engine skips only work that is
 // provably a no-op. Two inputs: the 2,000-job Alibaba-like trace, the perf
-// benchmark's headline configuration, where thousands of rounds coalesce;
-// and a 400-job trace on capped provider pools (spot and faults off, so
-// rounds still coalesce), where denied launches interleave with coalesced
-// rounds.
+// benchmark's headline configuration, where thousands of rounds coalesce
+// (its unbatched run is also checked against kAlibaba2000Golden); and a
+// 400-job trace on capped provider pools (spot and faults off, so rounds
+// still coalesce), where denied launches interleave with coalesced rounds.
 TEST(SimulatorGoldenTest, RoundBatchingIsBitExactOnAlibaba2000) {
   struct Input {
     const char* name;
     int num_jobs;
     bool capped;
     std::int64_t min_coalesced;
+    const GoldenValues* golden;
   };
   const Input inputs[] = {
-      {"alibaba2000", 2000, false, 1000},
-      {"capped400", 400, true, 1000},
+      {"alibaba2000", 2000, false, 1000, &kAlibaba2000Golden},
+      {"capped400", 400, true, 1000, nullptr},
   };
   const InstanceCatalog catalog = InstanceCatalog::AwsDefault();
   const InterferenceModel interference = InterferenceModel::Measured();
@@ -253,6 +294,9 @@ TEST(SimulatorGoldenTest, RoundBatchingIsBitExactOnAlibaba2000) {
     };
     const auto [batched, batched_stats] = run(true);
     const auto [plain, plain_stats] = run(false);
+    if (input.golden != nullptr) {
+      ExpectBitExact(plain, *input.golden);
+    }
 
     // Batching actually engaged (and the accounting reflects it)...
     EXPECT_GT(batched.rounds_coalesced, input.min_coalesced);
