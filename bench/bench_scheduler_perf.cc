@@ -125,20 +125,6 @@ void BM_SolverSmall(benchmark::State& state) {
 }
 BENCHMARK(BM_SolverSmall)->Arg(8)->Arg(12);
 
-// The work-stealing subtree search; returns the same incumbent as the
-// serial path (see bnb_solver.h) so this measures pure speedup.
-void BM_SolverSmallParallel(benchmark::State& state) {
-  const SchedulingContext context =
-      MakeRandomTaskContext(static_cast<int>(state.range(0)), 5, Catalog());
-  for (auto _ : state) {
-    SolverOptions options;
-    options.time_limit_seconds = 2.0;
-    options.num_threads = 4;
-    benchmark::DoNotOptimize(SolveOptimalPacking(context, options));
-  }
-}
-BENCHMARK(BM_SolverSmallParallel)->Arg(8)->Arg(12);
-
 void BM_EndToEndSmallTrace(benchmark::State& state) {
   SyntheticTraceOptions trace_options;
   trace_options.num_jobs = 16;

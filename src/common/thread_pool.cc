@@ -1,7 +1,6 @@
 #include "src/common/thread_pool.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace eva {
 
@@ -22,117 +21,62 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
-  work_available_.notify_all();
+  batch_ready_.notify_all();
   for (std::thread& worker : workers_) {
     worker.join();
   }
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(task));
-    ++in_flight_;
+void ThreadPool::Drain(const std::function<void(std::size_t)>& fn, std::size_t n) {
+  for (std::size_t i = cursor_++; i < n; i = cursor_++) {
+    fn(i);
   }
-  work_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-bool ThreadPool::RunOneQueued(std::unique_lock<std::mutex>& lock) {
-  if (queue_.empty()) {
-    return false;
-  }
-  std::function<void()> task = std::move(queue_.front());
-  queue_.pop_front();
-  lock.unlock();
-  task();
-  lock.lock();
-  if (--in_flight_ == 0) {
-    all_done_.notify_all();
-  }
-  return true;
 }
 
 void ThreadPool::WorkerLoop() {
+  std::uint64_t seen = 0;
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_available_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        return;  // stopping_ and drained.
-      }
-      task = std::move(queue_.front());
-      queue_.pop_front();
+    batch_ready_.wait(lock,
+                      [&] { return stopping_ || (fn_ != nullptr && generation_ != seen); });
+    if (stopping_) {
+      return;
     }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--in_flight_ == 0) {
-        all_done_.notify_all();
-      }
+    seen = generation_;
+    const std::function<void(std::size_t)>& fn = *fn_;
+    const std::size_t n = n_;
+    ++joined_;
+    lock.unlock();
+    Drain(fn, n);
+    lock.lock();
+    if (--joined_ == 0) {
+      batch_left_.notify_one();
     }
-  }
-}
-
-void ThreadPool::TaskGroup::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(pool_.mutex_);
-    ++pending_;
-  }
-  pool_.Submit([this, task = std::move(task)] {
-    task();
-    std::lock_guard<std::mutex> lock(pool_.mutex_);
-    if (--pending_ == 0) {
-      pool_.all_done_.notify_all();
-    }
-  });
-}
-
-void ThreadPool::TaskGroup::Wait() {
-  std::unique_lock<std::mutex> lock(pool_.mutex_);
-  while (pending_ > 0) {
-    // Help: drain queued tasks (ours or anyone's) instead of blocking a
-    // thread the group's own tasks may need.
-    if (pool_.RunOneQueued(lock)) {
-      continue;
-    }
-    // Nothing runnable: our remaining tasks are executing on other threads.
-    pool_.all_done_.wait(lock);
   }
 }
 
 void ThreadPool::ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (n == 0) {
-    return;
-  }
-  const std::size_t threads = static_cast<std::size_t>(num_threads());
-  if (n == 1 || threads <= 1) {
+  if (n <= 1 || workers_.size() <= 1) {
     for (std::size_t i = 0; i < n; ++i) {
       fn(i);
     }
     return;
   }
-  const std::size_t chunks = std::min(n, threads + 1);  // +1: the caller helps.
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  TaskGroup group(*this);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * chunk_size;
-    const std::size_t end = std::min(n, begin + chunk_size);
-    if (begin >= end) {
-      break;
-    }
-    group.Submit([begin, end, &fn] {
-      for (std::size_t i = begin; i < end; ++i) {
-        fn(i);
-      }
-    });
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    fn_ = &fn;
+    n_ = n;
+    cursor_ = 0;
+    ++generation_;
   }
-  group.Wait();
+  batch_ready_.notify_all();
+  Drain(fn, n);
+  // The cursor is past n, so every index is claimed. Close the batch to
+  // workers that have not joined yet, then wait for those that did: their
+  // claimed indices finish before they leave.
+  std::unique_lock<std::mutex> lock(mutex_);
+  fn_ = nullptr;
+  batch_left_.wait(lock, [this] { return joined_ == 0; });
 }
 
 }  // namespace eva

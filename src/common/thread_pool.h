@@ -1,24 +1,28 @@
-// A small fixed-size thread pool for running independent simulations in
-// parallel: the experiment runner's schedulers and the federation's tenants.
+// A small fixed-size thread pool whose one operation is ParallelFor: run
+// fn(i) for every i in [0, n) and return when all of them have finished.
+// The experiment runner fans schedulers out over it, and the federation
+// runs its tenants' advance and round phases on it.
 //
-// Deliberately minimal: Submit() enqueues a task, Wait() blocks until every
-// submitted task has finished. Tasks must not throw (the pool terminates on
-// escaped exceptions, like std::thread does) and must synchronize any shared
-// state themselves; the intended usage is embarrassingly-parallel work that
-// writes to disjoint result slots.
+// One batch runs at a time. ParallelFor publishes the batch under the
+// mutex, wakes the workers, and then the workers and the calling thread
+// claim indices from one shared atomic cursor until it passes n; the call
+// returns once every worker that joined the batch has left it, so every
+// write fn made is visible to the caller. A batch of at most one index, or
+// a pool of one thread, runs inline on the caller.
 //
-// TaskGroup tracks one batch of tasks rather than the whole pool, and its
-// Wait() *helps*: while the group is unfinished the waiting thread pops and
-// runs queued pool tasks instead of blocking. That makes nested fan-out safe
-// (a pool task may open its own group and wait on it without deadlocking,
-// even on a single-threaded pool). ParallelFor is built on it.
+// Contract: fn must tolerate concurrent calls on distinct indices, must
+// synchronize any other shared state itself, and must not throw (an escaped
+// exception terminates, as with std::thread). ParallelFor takes one caller
+// at a time, and fn must not call ParallelFor on its own pool: the nested
+// call would replace the batch its caller is still running.
 
 #ifndef SRC_COMMON_THREAD_POOL_H_
 #define SRC_COMMON_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -31,61 +35,36 @@ class ThreadPool {
   // num_threads <= 0 selects DefaultThreads().
   explicit ThreadPool(int num_threads = 0);
 
-  // Joins all workers; pending tasks are completed first.
+  // Joins all workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  void Submit(std::function<void()> task);
-
-  // Blocks until every task submitted so far has run to completion.
-  void Wait();
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
   // Hardware concurrency, at least 1.
   static int DefaultThreads();
 
-  // One batch of tasks. Submit from any thread; Wait until exactly this
-  // batch is done. Destroying an unwaited group waits first.
-  class TaskGroup {
-   public:
-    explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}
-    ~TaskGroup() { Wait(); }
-
-    TaskGroup(const TaskGroup&) = delete;
-    TaskGroup& operator=(const TaskGroup&) = delete;
-
-    void Submit(std::function<void()> task);
-
-    // Runs queued pool tasks (any group's) while this group is unfinished,
-    // then returns. Safe to call from inside a pool task.
-    void Wait();
-
-   private:
-    friend class ThreadPool;
-
-    ThreadPool& pool_;
-    int pending_ = 0;  // Guarded by pool_.mutex_.
-  };
-
-  // Runs fn(i) for i in [0, n) across the pool, helping from the calling
-  // thread, and blocks until all iterations finish. Iterations are chunked
-  // contiguously; fn must tolerate concurrent invocation on distinct i.
+  // Runs fn(i) for i in [0, n) across the workers and the calling thread,
+  // each index exactly once, and blocks until all of them have finished.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
   void WorkerLoop();
-  // Pops and runs one queued task if any; returns false when queue empty.
-  bool RunOneQueued(std::unique_lock<std::mutex>& lock);
+  // Claims and runs indices of the current batch until the cursor passes n.
+  void Drain(const std::function<void(std::size_t)>& fn, std::size_t n);
 
   std::mutex mutex_;
-  std::condition_variable work_available_;
-  std::condition_variable all_done_;
-  std::deque<std::function<void()>> queue_;
-  int in_flight_ = 0;  // Queued + currently executing tasks.
+  std::condition_variable batch_ready_;
+  std::condition_variable batch_left_;
+  // The open batch, guarded by mutex_; fn_ is null between batches.
+  const std::function<void(std::size_t)>* fn_ = nullptr;
+  std::size_t n_ = 0;
+  std::uint64_t generation_ = 0;  // Bumped per batch so a worker joins it once.
+  int joined_ = 0;                // Workers inside the open batch.
   bool stopping_ = false;
+  std::atomic<std::size_t> cursor_{0};
   std::vector<std::thread> workers_;
 };
 

@@ -142,12 +142,9 @@ std::vector<ExperimentResult> ParallelRunComparison(const Trace& trace,
   std::vector<ExperimentResult> results(kinds.size());
   const int resolved = num_threads > 0 ? num_threads : ThreadPool::DefaultThreads();
   ThreadPool pool(std::min<int>(resolved, static_cast<int>(kinds.size())));
-  for (std::size_t i = 0; i < kinds.size(); ++i) {
-    pool.Submit([&trace, &options, &results, &kinds, i] {
-      results[i] = RunOne(trace, kinds[i], options);
-    });
-  }
-  pool.Wait();
+  pool.ParallelFor(kinds.size(), [&trace, &options, &results, &kinds](std::size_t i) {
+    results[i] = RunOne(trace, kinds[i], options);
+  });
   NormalizeCosts(results);
   return results;
 }

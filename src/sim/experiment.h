@@ -61,7 +61,8 @@ std::vector<ExperimentResult> RunComparison(const Trace& trace,
                                             const std::vector<SchedulerKind>& kinds,
                                             const ExperimentOptions& options);
 
-// RunComparison with one simulator+scheduler bundle per worker thread.
+// RunComparison with the runs spread over a thread pool, one
+// simulator+scheduler bundle per run (the calling thread runs some too).
 // Every run constructs its own Rng from options.simulator.seed (exactly as
 // the serial path does), so results are deterministic and bit-identical to
 // RunComparison regardless of thread count or completion order.

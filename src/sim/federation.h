@@ -28,9 +28,10 @@
 //      while non-contending tenants — the common case once capacity is
 //      partitioned or demand is family-disjoint — round in parallel.
 //
-// Both phases dispatch through ThreadPool::ParallelFor: at most threads+1
-// contiguous chunk tasks per phase, run inline on the calling thread when
-// there is one item or one thread.
+// Both phases dispatch through ThreadPool::ParallelFor: one batch per
+// phase whose items the workers and the driver thread claim one at a time
+// from a shared cursor, run inline on the driver when there is one item or
+// one thread.
 //
 // With staggered round offsets enabled, tenants' round phases are spread
 // deterministically across the scheduling period, so each barrier carries a

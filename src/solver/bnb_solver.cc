@@ -1,13 +1,12 @@
 #include "src/solver/bnb_solver.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <thread>
+#include <limits>
+#include <utility>
+#include <vector>
 
-#include "src/common/arena.h"
-#include "src/common/thread_pool.h"
 #include "src/core/full_reconfig.h"
 #include "src/sched/reservation_price.h"
 
@@ -80,23 +79,12 @@ class OpenList {
   }
   void Pop() { --size_; }
 
-  void Assign(const std::vector<OpenInstance>& from) {
-    size_ = 0;
-    for (const OpenInstance& instance : from) {
-      OpenInstance& slot = Push();
-      slot.type_index = instance.type_index;
-      slot.used = instance.used;
-      slot.tasks = instance.tasks;
-    }
-  }
-
  private:
   std::vector<OpenInstance> items_;
   std::size_t size_ = 0;
 };
 
-// Immutable per-solve data shared by the serial search, the frontier
-// expansion and every worker: branch order, suffix bounds, limits.
+// Immutable per-solve data: branch order, suffix bounds, limits.
 struct Problem {
   Problem(const SchedulingContext& context, const SolverOptions& options)
       : context(context), options(options), unit_prices(UnitPrices(*context.catalog)) {
@@ -143,11 +131,8 @@ struct Problem {
   }
 
   // Sound lower bound on the cost of hosting tasks[next_task..) given the
-  // instances already open (their unused capacity is free). `open` is any
-  // range of OpenInstance (OpenList in the DFS, plain vector in the
-  // frontier expansion).
-  template <typename OpenRange>
-  Money SuffixBound(std::size_t next_task, const OpenRange& open) const {
+  // instances already open (their unused capacity is free).
+  Money SuffixBound(std::size_t next_task, const OpenList& open) const {
     std::array<double, kNumResources> residual = suffix_volume[next_task];
     for (const OpenInstance& instance : open) {
       const ResourceVector& capacity = context.catalog->Get(instance.type_index).capacity;
@@ -175,23 +160,6 @@ struct Problem {
   std::vector<std::vector<int>> fitting_by_task;
 };
 
-// State shared between parallel workers. `best_cost` is a bound only — the
-// configurations stay worker-local so subtree order can resolve ties.
-struct SharedState {
-  explicit SharedState(Money seed_cost) : best_cost(seed_cost) {}
-
-  std::atomic<Money> best_cost;
-  std::atomic<std::uint64_t> nodes{0};
-  std::atomic<bool> aborted{false};
-};
-
-void LowerSharedBound(SharedState& shared, Money cost) {
-  Money current = shared.best_cost.load(std::memory_order_relaxed);
-  while (cost < current &&
-         !shared.best_cost.compare_exchange_weak(current, cost, std::memory_order_relaxed)) {
-  }
-}
-
 // One branching choice for a task: place it into open[open_index]
 // (fresh == false) or open a new instance of type_index (fresh == true,
 // adding cost_delta).
@@ -202,18 +170,13 @@ struct Choice {
   Money cost_delta = 0.0;
 };
 
-// Enumerates a node's children in serial DFS order: existing open instances
-// first (skipping symmetric (type, used) duplicates), then fresh instances
-// of each fitting type cheapest-first (precomputed per task in Problem),
-// cut where `cost_bound` proves a fresh open cannot improve. Both the
-// depth-first search and the parallel frontier expansion branch through
-// this, so their orders cannot drift apart. Callers may re-check fresh
-// choices against a live (tighter) bound. `out` is any vector of Choice —
-// the DFS hands in an arena-backed one.
-template <typename OpenRange, typename ChoiceVec>
-void EnumerateChoices(const Problem& problem, std::size_t next_task,
-                      const OpenRange& open, Money cost_so_far, Money cost_bound,
-                      ChoiceVec& out) {
+// Enumerates a node's children in DFS order: existing open instances first
+// (skipping symmetric (type, used) duplicates), then fresh instances of each
+// fitting type cheapest-first (precomputed per task in Problem), cut where
+// `cost_bound` proves a fresh open cannot improve. The caller re-checks
+// fresh choices against the live (possibly tighter) incumbent.
+void EnumerateChoices(const Problem& problem, std::size_t next_task, const OpenList& open,
+                      Money cost_so_far, Money cost_bound, std::vector<Choice>& out) {
   const TaskInfo& task = *problem.tasks[next_task];
   out.clear();
   for (std::size_t i = 0; i < open.size(); ++i) {
@@ -248,35 +211,26 @@ void EnumerateChoices(const Problem& problem, std::size_t next_task,
   }
 }
 
-// One depth-first search over a subtree, replicating the original serial
-// search exactly when `shared` is null (the incumbent then carries the seed
-// configuration and the prune bound is the local incumbent alone).
+// The depth-first search. The incumbent starts as the heuristic seed (or
+// empty at +inf cost) and is replaced only on strict improvement, so among
+// equal-cost packings the first one in DFS order wins.
 class Search {
  public:
-  Search(const Problem& problem, Clock::time_point start, SharedState* shared)
-      : problem_(problem), start_(start), shared_(shared) {}
+  Search(const Problem& problem, Clock::time_point start)
+      : problem_(problem), start_(start), choices_by_depth_(problem.tasks.size()) {}
 
-  void SetIncumbent(const ClusterConfig& config, Money cost) {
-    incumbent_ = config;
+  void SetIncumbent(ClusterConfig config, Money cost) {
+    incumbent_ = std::move(config);
     incumbent_cost_ = cost;
   }
 
-  void SetIncumbentBound(Money cost) { incumbent_cost_ = cost; }
-
-  void Run(std::size_t next_task, Money cost_so_far, OpenList& open) {
-    Branch(next_task, cost_so_far, open);
-    if (shared_ != nullptr) {
-      shared_->nodes.fetch_add(nodes_since_flush_, std::memory_order_relaxed);
-      nodes_since_flush_ = 0;
-      if (aborted_) {
-        shared_->aborted.store(true, std::memory_order_relaxed);
-      }
-    }
+  void Run() {
+    OpenList open;
+    Branch(0, 0.0, open);
   }
 
   const ClusterConfig& incumbent() const { return incumbent_; }
   Money incumbent_cost() const { return incumbent_cost_; }
-  bool improved() const { return improved_; }
   bool aborted() const { return aborted_; }
   std::uint64_t nodes() const { return nodes_; }
 
@@ -285,19 +239,7 @@ class Search {
     if (aborted_) {
       return true;
     }
-    if (shared_ != nullptr) {
-      // Flush the local node count into the shared budget in batches, so
-      // the global max_nodes limit is enforced within one batch's slack.
-      if (nodes_since_flush_ >= 1024) {
-        shared_->nodes.fetch_add(nodes_since_flush_, std::memory_order_relaxed);
-        nodes_since_flush_ = 0;
-      }
-      if (shared_->aborted.load(std::memory_order_relaxed) ||
-          shared_->nodes.load(std::memory_order_relaxed) > problem_.options.max_nodes) {
-        aborted_ = true;
-        return true;
-      }
-    } else if (nodes_ > problem_.options.max_nodes) {
+    if (nodes_ > problem_.options.max_nodes) {
       aborted_ = true;
       return true;
     }
@@ -311,27 +253,14 @@ class Search {
     return false;
   }
 
-  bool PruneBound(Money optimistic) const {
-    if (optimistic >= incumbent_cost_ - kCostEps) {
-      return true;  // Cannot strictly improve the local incumbent.
-    }
-    // Foreign bound: strict-only pruning (`>` + eps) so a subtree still
-    // reaches its own solutions that exactly tie the global optimum —
-    // the fold then resolves the tie by subtree order, like serial DFS.
-    return shared_ != nullptr &&
-           optimistic > shared_->best_cost.load(std::memory_order_relaxed) + kCostEps;
-  }
-
   void Branch(std::size_t next_task, Money cost_so_far, OpenList& open) {
     ++nodes_;
-    ++nodes_since_flush_;
     if (TimeExceeded()) {
       return;
     }
     if (next_task == problem_.tasks.size()) {
       if (cost_so_far < incumbent_cost_ - kCostEps) {
         incumbent_cost_ = cost_so_far;
-        improved_ = true;
         incumbent_.instances.clear();
         for (const OpenInstance& instance : open) {
           ConfigInstance entry;
@@ -339,22 +268,18 @@ class Search {
           entry.tasks = instance.tasks;
           incumbent_.instances.push_back(std::move(entry));
         }
-        if (shared_ != nullptr) {
-          LowerSharedBound(*shared_, cost_so_far);
-        }
       }
       return;
     }
-    if (PruneBound(cost_so_far + problem_.SuffixBound(next_task, open))) {
+    if (cost_so_far + problem_.SuffixBound(next_task, open) >= incumbent_cost_ - kCostEps) {
       return;  // Prune: even a fractional relaxation cannot beat incumbent.
     }
     const TaskInfo& task = *problem_.tasks[next_task];
 
-    // Per-node choice list in the worker's arena: the node marks, fills,
-    // recurses, rewinds — stack discipline, so deeper nodes' allocations
-    // land above this mark and are reclaimed before it.
-    const MonotonicArena::Marker mark = arena_.Mark();
-    ArenaVector<Choice> choices{ArenaAllocator<Choice>(&arena_)};
+    // Each depth owns one choice list: the recursion below only touches
+    // deeper depths' lists, so this one stays intact while it is iterated
+    // and keeps its capacity for the next node at this depth.
+    std::vector<Choice>& choices = choices_by_depth_[next_task];
     EnumerateChoices(problem_, next_task, open, cost_so_far, incumbent_cost_, choices);
     for (const Choice& choice : choices) {
       if (choice.fresh) {
@@ -384,109 +309,20 @@ class Search {
         open[choice.open_index].used -= demand;
       }
       if (aborted_) {
-        arena_.Rewind(mark);
         return;
       }
     }
-    arena_.Rewind(mark);
   }
 
   const Problem& problem_;
   Clock::time_point start_;
-  SharedState* shared_;
-  MonotonicArena arena_;  // Worker-local; rewound per branch node.
+  std::vector<std::vector<Choice>> choices_by_depth_;
 
   ClusterConfig incumbent_;
   Money incumbent_cost_ = std::numeric_limits<double>::infinity();
-  bool improved_ = false;
   std::uint64_t nodes_ = 0;
-  std::uint64_t nodes_since_flush_ = 0;
   bool aborted_ = false;
 };
-
-// A branch point handed to a worker: the search state after fixing the
-// placements of tasks[0..next_task). Ordered by serial DFS preorder.
-struct FrontierNode {
-  std::size_t next_task = 0;
-  Money cost = 0.0;
-  std::vector<OpenInstance> open;
-};
-
-// Expands the first branching levels in serial DFS order until at least
-// `target` subtrees exist (or the tree is exhausted). Children are pruned
-// only against the *seed* incumbent — a superset of what serial DFS keeps,
-// since its evolving bound can only tighten.
-std::vector<FrontierNode> ExpandFrontier(const Problem& problem, Money seed_cost,
-                                         std::size_t target, std::uint64_t& nodes_expanded) {
-  std::vector<FrontierNode> frontier(1);
-  std::vector<Choice> choices;
-  while (frontier.size() < target) {
-    std::vector<FrontierNode> next;
-    bool any_expanded = false;
-    for (FrontierNode& node : frontier) {
-      if (node.next_task == problem.tasks.size()) {
-        next.push_back(std::move(node));  // Complete: carry as a leaf.
-        continue;
-      }
-      if (node.cost + problem.SuffixBound(node.next_task, node.open) >=
-          seed_cost - kCostEps) {
-        ++nodes_expanded;
-        continue;  // Serial DFS prunes this node under any incumbent.
-      }
-      any_expanded = true;
-      ++nodes_expanded;
-      const TaskInfo& task = *problem.tasks[node.next_task];
-      EnumerateChoices(problem, node.next_task, node.open, node.cost, seed_cost, choices);
-      for (const Choice& choice : choices) {
-        FrontierNode child;
-        child.next_task = node.next_task + 1;
-        child.cost = node.cost + choice.cost_delta;
-        child.open = node.open;
-        if (choice.fresh) {
-          const InstanceType& type = problem.context.catalog->Get(choice.type_index);
-          OpenInstance fresh;
-          fresh.type_index = choice.type_index;
-          fresh.used = task.DemandFor(type.family);
-          fresh.tasks.push_back(task.id);
-          child.open.push_back(std::move(fresh));
-        } else {
-          OpenInstance& host = child.open[choice.open_index];
-          const InstanceType& type = problem.context.catalog->Get(host.type_index);
-          host.used += task.DemandFor(type.family);
-          host.tasks.push_back(task.id);
-        }
-        next.push_back(std::move(child));
-      }
-    }
-    frontier = std::move(next);
-    if (!any_expanded || frontier.empty()) {
-      break;
-    }
-  }
-  return frontier;
-}
-
-// Picks the starting incumbent: the heuristic seed and/or a warm start.
-// Returns {config, cost}; cost is +inf when neither is available.
-std::pair<ClusterConfig, Money> SeedIncumbent(const SchedulingContext& context,
-                                              const SolverOptions& options) {
-  ClusterConfig config;
-  Money cost = std::numeric_limits<double>::infinity();
-  if (options.seed_with_heuristic) {
-    const TnrpCalculator calculator(context, {.interference_aware = false});
-    config = FullReconfiguration(context, calculator);
-    cost = config.HourlyCost(*context.catalog);
-  }
-  if (options.warm_start != nullptr &&
-      !options.warm_start->Validate(context).has_value()) {
-    const Money warm_cost = options.warm_start->HourlyCost(*context.catalog);
-    if (warm_cost < cost - kCostEps) {
-      config = *options.warm_start;
-      cost = warm_cost;
-    }
-  }
-  return {std::move(config), cost};
-}
 
 }  // namespace
 
@@ -512,88 +348,20 @@ SolverResult SolveOptimalPacking(const SchedulingContext& context,
                                  const SolverOptions& options) {
   const Clock::time_point start = Clock::now();
   const Problem problem(context, options);
-  auto [seed_config, seed_cost] = SeedIncumbent(context, options);
-
-  const int threads =
-      options.num_threads > 0 ? options.num_threads : ThreadPool::DefaultThreads();
+  Search search(problem, start);
+  if (options.seed_with_heuristic) {
+    const TnrpCalculator calculator(context, {.interference_aware = false});
+    ClusterConfig seed = FullReconfiguration(context, calculator);
+    const Money seed_cost = seed.HourlyCost(*context.catalog);
+    search.SetIncumbent(std::move(seed), seed_cost);
+  }
+  search.Run();
 
   SolverResult result;
-  if (threads <= 1) {
-    Search search(problem, start, nullptr);
-    search.SetIncumbent(seed_config, seed_cost);
-    OpenList open;
-    search.Run(0, 0.0, open);
-    result.config = search.incumbent();
-    result.hourly_cost = search.incumbent_cost();
-    result.proven_optimal = !search.aborted();
-    result.nodes_explored = search.nodes();
-    result.wall_seconds = std::chrono::duration<double>(Clock::now() - start).count();
-    if (options.trace) {
-      options.trace.recorder->Instant(
-          options.trace.track, "bnb.solve", options.trace_now_s, "nodes",
-          static_cast<double>(result.nodes_explored), "optimal",
-          result.proven_optimal ? 1.0 : 0.0);
-    }
-    return result;
-  }
-
-  std::uint64_t nodes_expanded = 0;
-  const std::vector<FrontierNode> frontier = ExpandFrontier(
-      problem, seed_cost, static_cast<std::size_t>(threads) * 8, nodes_expanded);
-
-  struct SubtreeResult {
-    bool found = false;
-    Money cost = std::numeric_limits<double>::infinity();
-    ClusterConfig config;
-    bool aborted = false;
-  };
-  std::vector<SubtreeResult> results(frontier.size());
-  SharedState shared(seed_cost);
-  shared.nodes.store(nodes_expanded, std::memory_order_relaxed);
-  std::atomic<std::size_t> cursor{0};
-
-  const auto worker = [&] {
-    OpenList open;  // Reused across subtrees; Assign keeps slot capacity.
-    for (;;) {
-      const std::size_t index = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (index >= frontier.size()) {
-        return;
-      }
-      Search search(problem, start, &shared);
-      search.SetIncumbentBound(seed_cost);
-      open.Assign(frontier[index].open);
-      search.Run(frontier[index].next_task, frontier[index].cost, open);
-      SubtreeResult& slot = results[index];
-      slot.found = search.improved();
-      slot.cost = search.incumbent_cost();
-      slot.config = search.incumbent();
-      slot.aborted = search.aborted();
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads) - 1);
-  for (int t = 1; t < threads; ++t) {
-    pool.emplace_back(worker);
-  }
-  worker();
-  for (std::thread& thread : pool) {
-    thread.join();
-  }
-
-  // Fold per-subtree incumbents in frontier (= serial DFS) order with the
-  // serial strict-improvement rule, restoring serial tie-breaking.
-  result.config = std::move(seed_config);
-  result.hourly_cost = seed_cost;
-  bool aborted = false;
-  for (const SubtreeResult& subtree : results) {
-    aborted = aborted || subtree.aborted;
-    if (subtree.found && subtree.cost < result.hourly_cost - kCostEps) {
-      result.hourly_cost = subtree.cost;
-      result.config = subtree.config;
-    }
-  }
-  result.proven_optimal = !aborted;
-  result.nodes_explored = shared.nodes.load(std::memory_order_relaxed);
+  result.config = search.incumbent();
+  result.hourly_cost = search.incumbent_cost();
+  result.proven_optimal = !search.aborted();
+  result.nodes_explored = search.nodes();
   result.wall_seconds = std::chrono::duration<double>(Clock::now() - start).count();
   if (options.trace) {
     options.trace.recorder->Instant(

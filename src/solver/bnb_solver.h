@@ -10,18 +10,11 @@
 // time-limited and reports the best incumbent (seeded with the Full
 // Reconfiguration solution) plus whether optimality was proven.
 //
-// With num_threads > 1 the search runs as a work-stealing subtree search:
-// the first few branching levels are expanded (in serial DFS order) into a
-// frontier of root subtrees, worker threads steal subtrees off a shared
-// cursor, and a shared atomic incumbent *bound* accelerates everyone's
-// pruning. Each worker keeps its own incumbent under the serial
-// strict-improvement rule and only prunes against the shared bound with
-// strict inequality, so exact-cost ties are still resolved by subtree
-// order when the per-subtree results are folded back — the returned
-// configuration and the proven_optimal flag match the serial search
-// whenever the search completes within its limits (nodes_explored may
-// differ; distinct configuration costs are assumed to differ by more than
-// the 1e-12 comparison epsilon, which holds for sums of catalog prices).
+// The search is a single-threaded depth-first search: tasks are branched
+// in descending reservation-price order, and the incumbent changes only on
+// strict improvement, so the result — configuration, cost, proven_optimal
+// and nodes_explored — is a deterministic function of the context and the
+// limits (a time limit that fires makes it depend on the machine).
 
 #ifndef SRC_SOLVER_BNB_SOLVER_H_
 #define SRC_SOLVER_BNB_SOLVER_H_
@@ -40,15 +33,6 @@ struct SolverOptions {
   // Use the Full Reconfiguration heuristic as the initial incumbent
   // (dramatically improves pruning). Disable to measure raw search.
   bool seed_with_heuristic = true;
-
-  // Warm-start incumbent, e.g. the previous scheduling round's
-  // configuration. Used when it validates against the context and beats
-  // the heuristic seed (or replaces it when seeding is off). Not owned.
-  const ClusterConfig* warm_start = nullptr;
-
-  // Worker threads: 1 = the serial search, 0 = hardware concurrency,
-  // n > 1 = exactly n.
-  int num_threads = 1;
 
   // Optional span sink: when bound, the solver emits one "bnb.solve"
   // instant (nodes explored, optimality) stamped at `trace_now_s` — the

@@ -2,60 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace eva {
 namespace {
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(counter.load(), 100);
-  }
-}
-
-TEST(ThreadPoolTest, WaitBlocksUntilAllDone) {
-  ThreadPool pool(2);
-  std::vector<int> results(50, 0);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    pool.Submit([&results, i] { results[i] = static_cast<int>(i) + 1; });
-  }
-  pool.Wait();
-  // After Wait, every slot must be written — no synchronization needed.
-  const int sum = std::accumulate(results.begin(), results.end(), 0);
-  EXPECT_EQ(sum, 50 * 51 / 2);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 3);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    // No Wait: the destructor must still run everything already queued.
-  }
-  EXPECT_EQ(counter.load(), 20);
-}
 
 TEST(ThreadPoolTest, DefaultsToHardwareConcurrency) {
   ThreadPool pool;
@@ -63,66 +17,84 @@ TEST(ThreadPoolTest, DefaultsToHardwareConcurrency) {
   EXPECT_EQ(pool.num_threads(), ThreadPool::DefaultThreads());
 }
 
-TEST(TaskGroupTest, WaitCoversExactlyThisGroup) {
-  ThreadPool pool(2);
-  std::atomic<int> group_counter{0};
-  std::atomic<int> other_counter{0};
-  // A slow unrelated task must not be waited on by the group.
-  pool.Submit([&other_counter] { other_counter.fetch_add(1); });
-  ThreadPool::TaskGroup group(pool);
-  for (int i = 0; i < 32; ++i) {
-    group.Submit([&group_counter] { group_counter.fetch_add(1); });
-  }
-  group.Wait();
-  EXPECT_EQ(group_counter.load(), 32);
-  pool.Wait();
-  EXPECT_EQ(other_counter.load(), 1);
-}
-
-TEST(TaskGroupTest, NestedGroupsOnSingleThreadedPoolDoNotDeadlock) {
-  // The outer task waits on an inner group from inside the pool's only
-  // worker; the helping Wait must run the inner tasks itself.
-  ThreadPool pool(1);
-  std::atomic<int> inner_done{0};
-  ThreadPool::TaskGroup outer(pool);
-  outer.Submit([&pool, &inner_done] {
-    ThreadPool::TaskGroup inner(pool);
-    for (int i = 0; i < 8; ++i) {
-      inner.Submit([&inner_done] { inner_done.fetch_add(1); });
+TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
+  for (int threads : {2, 3, 4}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(101);
+    pool.ParallelFor(hits.size(), [&hits](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "threads " << threads << " index " << i;
     }
-    inner.Wait();
-  });
-  outer.Wait();
-  EXPECT_EQ(inner_done.load(), 8);
-}
-
-TEST(TaskGroupTest, WaitFromNonPoolThreadHelps) {
-  ThreadPool pool(1);
-  std::atomic<int> counter{0};
-  ThreadPool::TaskGroup group(pool);
-  for (int i = 0; i < 64; ++i) {
-    group.Submit([&counter] { counter.fetch_add(1); });
-  }
-  group.Wait();  // The calling thread should drain part of the queue itself.
-  EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(101);
-  pool.ParallelFor(hits.size(), [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& hit : hits) {
-    EXPECT_EQ(hit.load(), 1);
   }
 }
 
-TEST(ParallelForTest, ZeroAndOneIterations) {
+TEST(ThreadPoolTest, ParallelForZeroAndOneIterations) {
   ThreadPool pool(2);
   int calls = 0;
   pool.ParallelFor(0, [&calls](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
   pool.ParallelFor(1, [&calls](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 1);
+}
+
+TEST(ThreadPoolTest, ParallelForRunsInlineOnOneThreadPool) {
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(16);
+  pool.ParallelFor(ran_on.size(), [&ran_on](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  for (const std::thread::id& id : ran_on) {
+    EXPECT_EQ(id, caller);
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForReturnsAfterEveryWrite) {
+  ThreadPool pool(2);
+  std::vector<int> results(50, 0);
+  pool.ParallelFor(results.size(), [&results](std::size_t i) {
+    results[i] = static_cast<int>(i) + 1;
+  });
+  // Plain ints: the return itself must publish every slot to the caller.
+  EXPECT_EQ(std::accumulate(results.begin(), results.end(), 0), 50 * 51 / 2);
+}
+
+TEST(ThreadPoolTest, ParallelForBatchesAreReusable) {
+  ThreadPool pool(3);
+  std::atomic<int> counter{0};
+  pool.ParallelFor(2, [&counter](std::size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 2);
+  pool.ParallelFor(5, [&counter](std::size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 7);
+}
+
+// The batch hand-off is where a race would live: back-to-back batches of
+// every small size, so workers that wake late, join late, or finish early
+// all meet the next batch's publication. Index 0 holds its thread until a
+// second index has started, so every batch of two or more runs on at least
+// two threads. The slots are plain ints tagged per batch: an index run
+// twice, skipped, run by a previous batch's fn, or still running when
+// ParallelFor returns shows as a wrong value (or as a race under TSan).
+TEST(ThreadPoolTest, ParallelForStressBackToBackSmallBatches) {
+  ThreadPool pool(4);
+  constexpr std::size_t kMaxSize = 8;
+  std::vector<int> slots(kMaxSize);
+  for (int batch = 0; batch < 2000; ++batch) {
+    const std::size_t size = static_cast<std::size_t>(batch) % (kMaxSize + 1);
+    const int tag = batch + 1;
+    std::fill(slots.begin(), slots.end(), 0);
+    std::atomic<int> started{0};
+    pool.ParallelFor(size, [&slots, &started, size, tag](std::size_t i) {
+      started.fetch_add(1);
+      while (i == 0 && size > 1 && started.load() < 2) {
+        std::this_thread::yield();
+      }
+      slots[i] += tag;
+    });
+    for (std::size_t i = 0; i < kMaxSize; ++i) {
+      ASSERT_EQ(slots[i], i < size ? tag : 0) << "batch " << batch << " index " << i;
+    }
+  }
 }
 
 }  // namespace
