@@ -171,11 +171,11 @@ TEST(BnbSolverTest, UnseededSearchStillFindsOptimum) {
   EXPECT_NEAR(result.hourly_cost, 12.8, 1e-9);
 }
 
-// Pins the depth-first search node for node. DFS order fixes
-// nodes_explored, so a change to the branch order, the bounds, the choice
-// enumeration or the incumbent rule moves these counts even when the
+// These two tests pin the depth-first search node for node. DFS order
+// fixes nodes_explored, so a change to the branch order, the bounds, the
+// choice enumeration or the incumbent rule moves these counts even when the
 // optimum survives. Costs are exact doubles, recorded with %.17g.
-TEST(BnbSolverTest, SearchIsPinnedNodeForNode) {
+TEST(BnbSolverTest, SearchIsPinnedNodeForNodeAcrossSeeds) {
   const InstanceCatalog catalog = InstanceCatalog::AwsDefault();
   struct Pin {
     double hourly_cost;
@@ -203,8 +203,11 @@ TEST(BnbSolverTest, SearchIsPinnedNodeForNode) {
     EXPECT_EQ(result.hourly_cost, pin.hourly_cost) << "seed " << seed;
     EXPECT_EQ(result.nodes_explored, pin.nodes_explored) << "seed " << seed;
   }
+}
 
-  // Without the heuristic seed the search starts from an empty incumbent.
+// Without the heuristic seed the search starts from an empty incumbent.
+TEST(BnbSolverTest, SearchIsPinnedNodeForNodeWithoutHeuristicSeed) {
+  const InstanceCatalog catalog = InstanceCatalog::AwsDefault();
   const SchedulingContext context = ContextWithDemands(
       catalog, {{1, 4, 24}, {1, 4, 10}, {0, 6, 40}, {0, 4, 8}, {2, 8, 60}, {0, 2, 8}});
   SolverOptions options;
