@@ -299,9 +299,11 @@ class FlatMemoMap {
     return static_cast<std::size_t>(h);
   }
 
+  // Starts small: each TNRP calculator holds 32 tables, a federation holds
+  // one calculator per tenant, and most of those memos stay tiny.
   void Grow() {
     std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 64 : old.size() * 2, Slot());
+    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot());
     const std::size_t mask = slots_.size() - 1;
     for (Slot& slot : old) {
       if (!slot.used) {

@@ -29,6 +29,8 @@ struct PackScratch {
   std::vector<bool> in_tentative_set;
   std::vector<const TaskInfo*> members;
   std::vector<std::size_t> member_indices;
+  std::vector<int> classes;      // Pricing class per pool slot.
+  std::vector<bool> class_seen;  // Per scan: a fitting candidate had the class.
 };
 
 // Caller-facing entry points' pool-building scratch.
@@ -38,19 +40,26 @@ struct PoolScratch {
 
 // Argmax over the pool: the unassigned, fitting task whose addition
 // maximizes TNRP(members + {task}); earliest index wins exact ties (the `>`
-// below).
-ArgmaxResult ScanCandidates(const std::vector<const TaskInfo*>& pool,
-                            const std::vector<bool>& assigned,
-                            const std::vector<bool>& in_tentative_set,
-                            const std::vector<const TaskInfo*>& members,
+// below). A candidate prices as its pricing class, so once one candidate of
+// a class has been priced, later ones of that class tie and lose: they are
+// skipped unpriced. The class ignores demands, so it is marked only after
+// the candidate passes Fits.
+ArgmaxResult ScanCandidates(const std::vector<const TaskInfo*>& pool, PackScratch& scratch,
                             const InstanceType& type, const ResourceVector& used,
                             const TnrpCalculator& calculator) {
+  std::vector<bool>& class_seen = scratch.class_seen;
+  std::fill(class_seen.begin(), class_seen.end(), false);
   ArgmaxResult best;
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (assigned[i] || in_tentative_set[i] || !Fits(*pool[i], type, used)) {
+    if (scratch.assigned[i] || scratch.in_tentative_set[i] || !Fits(*pool[i], type, used)) {
       continue;
     }
-    const Money tnrp = calculator.SetTnrpPlusOne(members, *pool[i], type.family);
+    const auto pricing_class = static_cast<std::size_t>(scratch.classes[i]);
+    if (class_seen[pricing_class]) {
+      continue;
+    }
+    class_seen[pricing_class] = true;
+    const Money tnrp = calculator.SetTnrpPlusOne(scratch.members, *pool[i], type.family);
     if (best.candidate < 0 || tnrp > best.tnrp) {
       best.candidate = static_cast<int>(i);
       best.tnrp = tnrp;
@@ -80,6 +89,14 @@ void PackByReservationPriceInto(const SchedulingContext& context,
   std::vector<const TaskInfo*>& members = scratch->members;
   std::vector<std::size_t>& member_indices = scratch->member_indices;
   assigned.assign(pool.size(), false);
+  std::vector<int>& classes = scratch->classes;
+  classes.resize(pool.size());
+  int num_classes = 0;
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    classes[i] = calculator.PricingClass(*pool[i]);
+    num_classes = std::max(num_classes, classes[i] + 1);
+  }
+  scratch->class_seen.assign(static_cast<std::size_t>(num_classes), false);
   std::size_t num_assigned = 0;
   const std::size_t pack_begin = out.used();
 
@@ -101,8 +118,7 @@ void PackByReservationPriceInto(const SchedulingContext& context,
 
       while (true) {
         // Pick the unassigned, fitting task that maximizes TNRP(T + {tau}).
-        const ArgmaxResult best = ScanCandidates(pool, assigned, in_tentative_set, members,
-                                                 type, used, calculator);
+        const ArgmaxResult best = ScanCandidates(pool, *scratch, type, used, calculator);
         if (best.candidate < 0) {
           break;  // Nothing fits anymore.
         }

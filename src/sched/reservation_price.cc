@@ -1,6 +1,7 @@
 #include "src/sched/reservation_price.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "src/common/arena.h"
@@ -25,10 +26,16 @@ struct SortScratch {
   std::vector<std::pair<Money, const TaskInfo*>> keyed;
 };
 
+std::uint64_t BitsOf(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
 }  // namespace
 
 std::size_t TnrpCalculator::TnrpKeyHash::operator()(const TnrpKey& key) const {
-  const std::size_t seed = HashCombine(static_cast<std::size_t>(key.task),
+  const std::size_t seed = HashCombine(static_cast<std::size_t>(key.pricing_class),
                                        static_cast<std::size_t>(key.family) + 0x7f +
                                            (static_cast<std::size_t>(key.count) << 8));
   return HashCombine(seed, static_cast<std::size_t>(key.packed));
@@ -38,8 +45,8 @@ std::size_t TnrpCalculator::SetHashSeed(int family) {
   return HashCombine(0x5e74c0de, static_cast<std::size_t>(family) + 0x7f);
 }
 
-std::size_t TnrpCalculator::SetHashExtend(std::size_t seed, TaskId member) {
-  return HashCombine(seed, static_cast<std::size_t>(member));
+std::size_t TnrpCalculator::SetHashExtend(std::size_t seed, std::int32_t pricing_class) {
+  return HashCombine(seed, static_cast<std::size_t>(pricing_class));
 }
 
 TnrpCalculator::TnrpCalculator(const SchedulingContext& context, Options options,
@@ -80,6 +87,7 @@ void TnrpCalculator::Rebind(const SchedulingContext& context,
   if (catalog_changed) {
     rp_sparse_.clear();
     std::fill(rp_flat_filled_.begin(), rp_flat_filled_.end(), 0);
+    classes_.clear();
   }
   GrowRpFlat();
   if (catalog_changed || estimator_changed) {
@@ -154,6 +162,7 @@ TnrpCalculator::RpEntry TnrpCalculator::RpEntryFor(const TaskInfo& task) const {
   RpEntry entry;
   entry.rp = ComputeReservationPrice(task);
   entry.job_size = context_->JobSize(task.job);
+  entry.pricing_class = InternClass(task, entry);
   if (flat) {
     rp_flat_[index] = entry;
     rp_flat_filled_[index] = 1;
@@ -163,8 +172,22 @@ TnrpCalculator::RpEntry TnrpCalculator::RpEntryFor(const TaskInfo& task) const {
   return entry;
 }
 
+std::int32_t TnrpCalculator::InternClass(const TaskInfo& task, const RpEntry& entry) const {
+  std::array<std::uint64_t, kNumInstanceFamilies> speedup_bits{};
+  for (std::size_t f = 0; f < kNumInstanceFamilies; ++f) {
+    speedup_bits[f] = BitsOf(task.family_speedup[f]);
+  }
+  const ClassKey key(task.workload, entry.job_size, BitsOf(entry.rp), speedup_bits);
+  const auto next = static_cast<std::int32_t>(classes_.size());
+  return classes_.try_emplace(key, next).first->second;
+}
+
 Money TnrpCalculator::ReservationPrice(const TaskInfo& task) const {
   return RpEntryFor(task).rp;
+}
+
+int TnrpCalculator::PricingClass(const TaskInfo& task) const {
+  return RpEntryFor(task).pricing_class;
 }
 
 Money TnrpCalculator::ComputeTnrp(const TaskInfo& task,
@@ -221,10 +244,10 @@ Money TnrpCalculator::TaskTnrp(const TaskInfo& task,
     // impl reuses the RP entry this function already fetched.
     return TaskTnrpOneImpl(task, *partners.front(), rp, entry.job_size);
   }
-  // Memoized path: the value is a pure function of (task, partner workload
-  // sequence, family) given the estimator's current estimates for the
-  // task's workload, which the row version captures. The key preserves the
-  // caller's partner ORDER (see TnrpKey); recurring call sites present
+  // Memoized path: the value is a pure function of (pricing class, partner
+  // workload sequence, family) given the estimator's current estimates for
+  // the class's workload, which the row version captures. The key preserves
+  // the caller's partner ORDER (see TnrpKey); recurring call sites present
   // partners in stable orders, so ordered keys still hit. The workload
   // scratch is leased per (thread, depth): nothing allocates on a hit.
   ScratchLease<WorkloadScratch> workload_scratch;
@@ -232,7 +255,7 @@ Money TnrpCalculator::TaskTnrp(const TaskInfo& task,
   partner_workloads.clear();
   partner_workloads.reserve(partners.size());
   TnrpKey key;
-  key.task = task.id;
+  key.pricing_class = entry.pricing_class;
   key.family = family.has_value() ? static_cast<int>(*family) : -1;
   key.count = static_cast<std::uint32_t>(partners.size());
   bool packable = partners.size() <= kMaxPackedPartners;
@@ -249,10 +272,9 @@ Money TnrpCalculator::TaskTnrp(const TaskInfo& task,
   const std::uint64_t row_version =
       throughput != nullptr ? throughput->RowVersion(task.workload) : 0;
 
-  // Shard selection is deliberately cheaper than the map's own hash: any
-  // partition works, values are unaffected.
-  TnrpShard& shard = tnrp_shards_[static_cast<std::size_t>(task.id) % kNumShards];
+  // Any partition works; values are unaffected.
   const std::size_t key_hash = TnrpKeyHash()(key);
+  TnrpShard& shard = tnrp_shards_[key_hash % kNumShards];
   const TnrpEntry* cached = shard.Find(key, key_hash);
   if (cached != nullptr && cached->row_version == row_version) {
     ++cache_stats_.tnrp_hits;
@@ -271,14 +293,17 @@ Money TnrpCalculator::ComputeSetTnrp(const std::vector<const TaskInfo*>& tasks,
   std::vector<const TaskInfo*>& partners = partner_scratch->ptrs;
   partners.clear();
   partners.reserve(tasks.size());
-  for (const TaskInfo* task : tasks) {
+  // Partners are the members at every other *position*: a set that lists
+  // one task twice prices it against its other copy, as the two-member
+  // path does, so equal class sequences always price equally.
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
     partners.clear();
-    for (const TaskInfo* other : tasks) {
-      if (other != task) {
-        partners.push_back(other);
+    for (std::size_t j = 0; j < tasks.size(); ++j) {
+      if (j != i) {
+        partners.push_back(tasks[j]);
       }
     }
-    total += TaskTnrp(*task, partners, family);
+    total += TaskTnrp(*tasks[i], partners, family);
   }
   return total;
 }
@@ -287,11 +312,8 @@ template <typename ComputeFn>
 Money TnrpCalculator::CachedSetTnrp(const SetKey& key, std::uint64_t row_sum,
                                     const ComputeFn& compute) const {
   // `key` is typically a thread-local scratch: it is only copied into the
-  // cache on a miss, so the hit path allocates nothing. The shard selector
-  // is cheaper than the map hash.
-  SetShard& shard = set_shards_[static_cast<std::size_t>(
-                                    key.members.front() + key.members.size()) %
-                                kNumShards];
+  // cache on a miss, so the hit path allocates nothing.
+  SetShard& shard = set_shards_[key.hash % kNumShards];
   const SetEntry* cached = shard.cache.Find(key, key.hash);
   if (cached != nullptr && cached->row_sum == row_sum) {
     ++cache_stats_.set_hits;
@@ -300,13 +322,13 @@ Money TnrpCalculator::CachedSetTnrp(const SetKey& key, std::uint64_t row_sum,
   ++cache_stats_.set_misses;
   const Money value = compute();
   shard.cache.Upsert(key, key.hash, [&] {
-    // First insertion of this set: intern the member sequence.
+    // First insertion of this set: intern the class sequence.
     StoredSetKey stored;
     stored.hash = key.hash;
     stored.family = key.family;
     stored.offset = shard.blob.size();
-    stored.count = static_cast<std::uint32_t>(key.members.size());
-    shard.blob.insert(shard.blob.end(), key.members.begin(), key.members.end());
+    stored.count = static_cast<std::uint32_t>(key.classes.size());
+    shard.blob.insert(shard.blob.end(), key.classes.begin(), key.classes.end());
     return stored;
   }) = {value, row_sum};
   return value;
@@ -331,12 +353,13 @@ Money TnrpCalculator::SetTnrp(const std::vector<const TaskInfo*>& tasks,
   SetKey& key = *key_lease;
   key.family = family.has_value() ? static_cast<int>(*family) : -1;
   key.hash = SetHashSeed(key.family);
-  key.members.clear();
-  key.members.reserve(tasks.size());
+  key.classes.clear();
+  key.classes.reserve(tasks.size());
   std::uint64_t row_sum = 0;
   for (const TaskInfo* task : tasks) {
-    key.members.push_back(task->id);
-    key.hash = SetHashExtend(key.hash, task->id);
+    const std::int32_t pricing_class = RpEntryFor(*task).pricing_class;
+    key.classes.push_back(pricing_class);
+    key.hash = SetHashExtend(key.hash, pricing_class);
     if (throughput != nullptr) {
       row_sum += throughput->RowVersion(task->workload);
     }
@@ -361,18 +384,20 @@ Money TnrpCalculator::SetTnrpPlusOne(const std::vector<const TaskInfo*>& members
   SetKey& key = *key_lease;
   key.family = family.has_value() ? static_cast<int>(*family) : -1;
   key.hash = SetHashSeed(key.family);
-  key.members.clear();
-  key.members.reserve(members.size() + 1);
+  key.classes.clear();
+  key.classes.reserve(members.size() + 1);
   std::uint64_t row_sum = 0;
   for (const TaskInfo* member : members) {
-    key.members.push_back(member->id);
-    key.hash = SetHashExtend(key.hash, member->id);
+    const std::int32_t pricing_class = RpEntryFor(*member).pricing_class;
+    key.classes.push_back(pricing_class);
+    key.hash = SetHashExtend(key.hash, pricing_class);
     if (throughput != nullptr) {
       row_sum += throughput->RowVersion(member->workload);
     }
   }
-  key.members.push_back(candidate.id);
-  key.hash = SetHashExtend(key.hash, candidate.id);
+  const std::int32_t candidate_class = RpEntryFor(candidate).pricing_class;
+  key.classes.push_back(candidate_class);
+  key.hash = SetHashExtend(key.hash, candidate_class);
   if (throughput != nullptr) {
     row_sum += throughput->RowVersion(candidate.workload);
   }

@@ -10,11 +10,15 @@
 // is charged to that placement:
 //   TNRP(tau, T) = RP(tau) - sum_{tau' in job(tau)} (1 - tput_{tau,T}) * RP(tau').
 //
-// The calculator memoizes aggressively so the scheduling decision path can
-// be delta-incremental across rounds:
-//   * RP is cached per task (demands and speedups are immutable per id);
-//   * per-task TNRP is cached per (task, co-location workload multiset,
-//     family), stamped with the throughput estimator's row version at
+// TNRP depends on a task only through its pricing class: its workload, job
+// size, RP and per-family speedups — not its id and not its demands beyond
+// the RP they yield. The calculator memoizes by class so the scheduling
+// decision path can be delta-incremental across rounds and share work
+// across tasks:
+//   * RP, job size and the interned pricing class are cached per task id
+//     (demands and speedups are immutable per id);
+//   * TNRP is cached per (pricing class, family, caller-order partner
+//     workloads), stamped with the throughput estimator's row version at
 //     compute time — entries invalidate themselves exactly when new
 //     observations change the estimates they were derived from.
 // Rebind() points a long-lived calculator at the next round's context while
@@ -28,6 +32,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -79,6 +85,12 @@ class TnrpCalculator {
   // simulator rejects such jobs at admission, so this is defensive).
   Money ReservationPrice(const TaskInfo& task) const;
 
+  // Dense id of the task's pricing class (workload, job size, RP, family
+  // speedups). Tasks of one class return identical values from every TNRP
+  // call, whatever their ids and demands. Ids stay stable until the bound
+  // catalog changes.
+  int PricingClass(const TaskInfo& task) const;
+
   // TNRP of one task co-located with `partners` (the other tasks on the
   // same hypothetical instance, excluding the task itself). May be negative
   // for multi-task jobs under severe interference. When `family` is given,
@@ -87,10 +99,11 @@ class TnrpCalculator {
                  std::optional<InstanceFamily> family = std::nullopt) const;
 
   // TNRP of a set of tasks placed together: sum of per-task TNRP where each
-  // task's partners are the other members of the set. Memoized at set
-  // granularity (keyed on the ordered id sequence + family, stamped with
-  // the estimator's global version) on top of the per-task caches, so the
-  // packing's repeated evaluations of recurring sets cost one hash lookup.
+  // member's partners are the members at every other position. Memoized at
+  // set granularity (keyed on the caller-order pricing-class sequence +
+  // family, stamped with the members' row versions) on top of the TNRP
+  // memo, so the packing's repeated evaluations of recurring compositions
+  // cost one hash lookup, whichever tasks make them up.
   Money SetTnrp(const std::vector<const TaskInfo*>& tasks,
                 std::optional<InstanceFamily> family = std::nullopt) const;
 
@@ -110,12 +123,12 @@ class TnrpCalculator {
  private:
   // The TNRP and set memos are each split over kNumShards tables, for
   // memory rather than for concurrency. A FlatMemoMap (and a set shard's
-  // id blob) doubles when it grows, holding the old and new storage alive
-  // together during the copy; split 16 ways, each doubling moves about a
-  // sixteenth of the memo. Under a provider denial storm the set memo
-  // holds ~50k sets (~230k interned ids) within one spot price step, and
-  // a single table and blob raised fed3_hostile's peak RSS by a third. The
-  // per-shard size bound in Rebind likewise ages a sixteenth at a time.
+  // class blob) doubles when it grows, holding the old and new storage
+  // alive together during the copy; split 16 ways, each doubling moves
+  // about a sixteenth of the memo. The per-shard size bound in Rebind
+  // likewise ages a sixteenth at a time. Shards are picked by key hash:
+  // class ids are few and skewed, so picking by class would crowd a few
+  // shards.
   static constexpr std::size_t kNumShards = 16;
 
   // Partner workloads are packed 7 bits each (Table 7's universe is ten
@@ -129,15 +142,17 @@ class TnrpCalculator {
   static constexpr std::size_t kMaxPackedPartners = 8;
   static constexpr WorkloadId kMaxPackedWorkload = 128;
 
+  // TNRP memo key: the priced task's class, not its id, so every task of
+  // a class shares the entry.
   struct TnrpKey {
-    TaskId task = kInvalidTaskId;
+    std::int32_t pricing_class = -1;
     std::int32_t family = -1;  // -1 encodes "no family given".
     std::uint32_t count = 0;
     std::uint64_t packed = 0;
 
     bool operator==(const TnrpKey& other) const {
-      return task == other.task && family == other.family && count == other.count &&
-             packed == other.packed;
+      return pricing_class == other.pricing_class && family == other.family &&
+             count == other.count && packed == other.packed;
     }
   };
 
@@ -150,13 +165,20 @@ class TnrpCalculator {
     std::uint64_t row_version = 0;  // Estimator row version at compute time.
   };
 
-  // RP and job size are both immutable per task id, so they share a cache
-  // entry (job size feeds the §4.4 multi-task term without re-touching the
-  // context's job index on every TNRP miss).
+  // RP, job size and pricing class are all immutable per task id, so they
+  // share a cache entry (job size feeds the §4.4 multi-task term without
+  // re-touching the context's job index on every TNRP miss).
   struct RpEntry {
     Money rp = 0.0;
     int job_size = 1;
+    std::int32_t pricing_class = -1;
   };
+
+  // Pricing-class interning key: (workload, job size, RP, family
+  // speedups). Doubles are keyed by bit pattern, so one class never merges
+  // values an uncached evaluation could tell apart.
+  using ClassKey = std::tuple<WorkloadId, int, std::uint64_t,
+                              std::array<std::uint64_t, kNumInstanceFamilies>>;
 
   // Memo shards live in flat open-addressing tables (FlatMemoMap): the
   // node-based unordered_maps they replace allocated on every miss — the
@@ -165,19 +187,21 @@ class TnrpCalculator {
   // value or order the scheduler produces.
   using TnrpShard = FlatMemoMap<TnrpKey, TnrpEntry, TnrpKeyHash>;
 
+  // Set memo key: the members' pricing classes in caller order (see
+  // TnrpKey), candidate last.
   struct SetKey {
     std::size_t hash = 0;  // Precomputed at key build; the map hash is O(1).
     int family = -1;
-    std::vector<TaskId> members;  // Caller order (see TnrpKey), candidate last.
+    std::vector<std::int32_t> classes;
 
     bool operator==(const SetKey& other) const {
-      return hash == other.hash && family == other.family && members == other.members;
+      return hash == other.hash && family == other.family && classes == other.classes;
     }
   };
 
   // Seeds/extends the incremental SetKey hash (caller-order fold).
   static std::size_t SetHashSeed(int family);
-  static std::size_t SetHashExtend(std::size_t seed, TaskId member);
+  static std::size_t SetHashExtend(std::size_t seed, std::int32_t pricing_class);
 
   struct SetEntry {
     Money value = 0.0;
@@ -188,9 +212,9 @@ class TnrpCalculator {
     std::uint64_t row_sum = 0;
   };
 
-  // Stored set-memo key: the member sequence is interned into the shard's
-  // id blob (offset/count), so SetKey — which owns a members vector — is
-  // only ever a caller-side probe/scratch. Inserting an entry appends to
+  // Stored set-memo key: the class sequence is interned into the shard's
+  // class blob (offset/count), so SetKey — which owns a classes vector —
+  // is only ever a caller-side probe/scratch. Inserting an entry appends to
   // the blob (amortized) instead of copying a vector per stored key.
   struct StoredSetKey {
     std::size_t hash = 0;
@@ -206,11 +230,11 @@ class TnrpCalculator {
   // Compares an interned key against a probe SetKey; bound to the owning
   // shard's blob.
   struct StoredSetKeyEq {
-    const std::vector<TaskId>* blob = nullptr;
+    const std::vector<std::int32_t>* blob = nullptr;
     bool operator()(const StoredSetKey& stored, const SetKey& probe) const {
       return stored.hash == probe.hash && stored.family == probe.family &&
-             stored.count == probe.members.size() &&
-             std::equal(probe.members.begin(), probe.members.end(),
+             stored.count == probe.classes.size() &&
+             std::equal(probe.classes.begin(), probe.classes.end(),
                         blob->begin() + static_cast<std::ptrdiff_t>(stored.offset));
     }
   };
@@ -222,7 +246,7 @@ class TnrpCalculator {
     SetShard(const SetShard&) = delete;
     SetShard& operator=(const SetShard&) = delete;
 
-    std::vector<TaskId> blob;  // Interned member sequences (cleared with cache).
+    std::vector<std::int32_t> blob;  // Interned class sequences (cleared with cache).
     FlatMemoMap<StoredSetKey, SetEntry, StoredSetKeyHash, StoredSetKeyEq> cache{
         StoredSetKeyHash{}, StoredSetKeyEq{&blob}};
   };
@@ -233,6 +257,7 @@ class TnrpCalculator {
 
   RpEntry RpEntryFor(const TaskInfo& task) const;
   Money ComputeReservationPrice(const TaskInfo& task) const;
+  std::int32_t InternClass(const TaskInfo& task, const RpEntry& entry) const;
 
   // TNRP of `task` co-located with exactly one partner, computed directly:
   // with the estimator's dense pairwise grid this is cheaper than probing
@@ -281,6 +306,9 @@ class TnrpCalculator {
   mutable std::vector<RpEntry> rp_flat_;
   mutable std::vector<std::uint8_t> rp_flat_filled_;
   mutable std::unordered_map<TaskId, RpEntry> rp_sparse_;
+  // Pricing classes interned so far; dropped with the RP cache. Probed
+  // only on an RP miss.
+  mutable std::map<ClassKey, std::int32_t> classes_;
   mutable std::array<TnrpShard, kNumShards> tnrp_shards_;
   mutable std::array<SetShard, kNumShards> set_shards_;
   mutable CacheStats cache_stats_;

@@ -242,5 +242,39 @@ TEST(FullReconfigEdgeTest, TnrpDecreaseStopsPacking) {
   ASSERT_EQ(config.instances.size(), 2u);
 }
 
+TEST(FullReconfigEdgeTest, UnfitSameClassCandidateDoesNotHideAFittingOne) {
+  // Big (4 cores) and Small (3 cores) share workload and RP (both fit
+  // c7i.2xlarge first), hence a pricing class; Big has the lower id, so it
+  // is scanned first. Filling a c7i.4xlarge (8 cores) around X (5 cores),
+  // Big no longer fits and Small does: Small must still be found, although
+  // a same-class candidate came before it in the scan.
+  const InstanceCatalog catalog = InstanceCatalog::AwsDefault();
+  SchedulingContext context;
+  context.catalog = &catalog;
+  const double cores[] = {5, 4, 3};  // X, Big, Small.
+  for (int i = 0; i < 3; ++i) {
+    TaskInfo task;
+    task.id = i;
+    task.job = i;
+    task.workload = i == 0 ? 1 : 2;
+    task.demand_p3 = {0, cores[i], 8};
+    task.demand_cpu = {0, cores[i], 8};
+    context.tasks.push_back(task);
+  }
+  ThroughputTable table(0.95);
+  context.throughput = &table;
+  context.Finalize();
+  const TnrpCalculator calculator(context, {});
+  ASSERT_EQ(calculator.PricingClass(context.tasks[1]), calculator.PricingClass(context.tasks[2]));
+  const ClusterConfig config = FullReconfiguration(context, calculator);
+  // All three together cost more than they are worth on any type that
+  // holds them (0.95^2 * $1.428 < $1.428 on c7i.8xlarge).
+  ASSERT_EQ(config.instances.size(), 2u);
+  EXPECT_EQ(catalog.Get(config.instances[0].type_index).name, "c7i.4xlarge");
+  EXPECT_EQ(config.instances[0].tasks, std::vector<TaskId>({0, 2}));
+  EXPECT_EQ(catalog.Get(config.instances[1].type_index).name, "c7i.2xlarge");
+  EXPECT_EQ(config.instances[1].tasks, std::vector<TaskId>({1}));
+}
+
 }  // namespace
 }  // namespace eva

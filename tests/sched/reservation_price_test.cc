@@ -191,10 +191,12 @@ TEST(ThroughputTableVersionTest, RecordBumpsOnlyOnValueChange) {
   EXPECT_GT(table.Version(), v1);
 }
 
-// Satellite: memoized TNRP equals a freshly constructed calculator after
-// arbitrary sequences of job arrival / completion / observation deltas. The
+// Memoized TNRP equals a freshly constructed calculator after arbitrary
+// sequences of job arrival / completion / observation deltas. The
 // persistent calculator Rebind()s across rounds and must invalidate exactly
-// the entries the deltas touched.
+// the entries the deltas touched. Half the arrivals shave their RAM demand,
+// which keeps their RP, so the population holds same-class tasks of
+// distinct ids and demands.
 TEST(TnrpMemoizationPropertyTest, MatchesFreshCalculatorUnderDeltaSequences) {
   const InstanceCatalog catalog = InstanceCatalog::AwsDefault();
   Rng rng(1234);
@@ -216,6 +218,7 @@ TEST(TnrpMemoizationPropertyTest, MatchesFreshCalculatorUnderDeltaSequences) {
   };
   rebuild_context();
   TnrpCalculator memoized(context, {});
+  bool saw_same_class_distinct_demands = false;
 
   for (int round = 0; round < 60; ++round) {
     // Random delta: arrivals (possibly multi-task), completions, and new
@@ -226,6 +229,7 @@ TEST(TnrpMemoizationPropertyTest, MatchesFreshCalculatorUnderDeltaSequences) {
           static_cast<WorkloadId>(rng.UniformInt(0, WorkloadRegistry::NumWorkloads() - 1));
       const WorkloadSpec& spec = WorkloadRegistry::Get(workload);
       const int num_tasks = rng.Bernoulli(0.3) ? 2 : 1;
+      const double ram_scale = rng.Bernoulli(0.5) ? 0.9 : 1.0;
       const JobId job = next_job_id++;
       for (int t = 0; t < num_tasks; ++t) {
         TaskInfo task;
@@ -234,6 +238,8 @@ TEST(TnrpMemoizationPropertyTest, MatchesFreshCalculatorUnderDeltaSequences) {
         task.workload = workload;
         task.demand_p3 = spec.demand_p3;
         task.demand_cpu = spec.demand_cpu;
+        task.demand_p3.Set(Resource::kRamGb, spec.demand_p3.ram_gb() * ram_scale);
+        task.demand_cpu.Set(Resource::kRamGb, spec.demand_cpu.ram_gb() * ram_scale);
         live.push_back(task);
       }
     }
@@ -261,6 +267,14 @@ TEST(TnrpMemoizationPropertyTest, MatchesFreshCalculatorUnderDeltaSequences) {
 
     if (context.tasks.empty()) {
       continue;
+    }
+    for (const TaskInfo& a : context.tasks) {
+      for (const TaskInfo& b : context.tasks) {
+        saw_same_class_distinct_demands =
+            saw_same_class_distinct_demands ||
+            (memoized.PricingClass(a) == memoized.PricingClass(b) &&
+             !(a.demand_cpu == b.demand_cpu));
+      }
     }
     // Compare on random sets and co-locations, with and without a family.
     for (int probe = 0; probe < 8; ++probe) {
@@ -291,6 +305,73 @@ TEST(TnrpMemoizationPropertyTest, MatchesFreshCalculatorUnderDeltaSequences) {
   }
   // The memoized calculator must actually be memoizing.
   EXPECT_GT(memoized.cache_stats().tnrp_hits + memoized.cache_stats().set_hits, 0u);
+  EXPECT_TRUE(saw_same_class_distinct_demands);
+}
+
+// Tasks of one workload whose RAM demands differ but whose RP is the same
+// c7i.2xlarge price: one pricing class per workload.
+struct SameClassTasks {
+  SameClassTasks() {
+    context.catalog = &catalog;
+    context.throughput = &table;
+    table.Record(1, {2}, 0.8);
+    Add(1, 10.0);  // 0: A
+    Add(1, 12.5);  // 1: A', same class as A.
+    Add(2, 6.0);   // 2: B
+    Add(2, 7.5);   // 3: B', same class as B.
+    Add(3, 4.0);   // 4: C
+    context.Finalize();
+  }
+
+  void Add(WorkloadId workload, double ram_gb) {
+    TaskInfo task;
+    task.id = static_cast<TaskId>(context.tasks.size());
+    task.job = task.id;
+    task.workload = workload;
+    task.demand_p3 = {0, 3, ram_gb};
+    task.demand_cpu = {0, 3, ram_gb};
+    context.tasks.push_back(task);
+  }
+
+  const TaskInfo* operator[](std::size_t index) const { return &context.tasks[index]; }
+
+  InstanceCatalog catalog = InstanceCatalog::AwsDefault();
+  ThroughputTable table{0.95};
+  SchedulingContext context;
+};
+
+// A set that lists one task twice prices each copy against the other on
+// every set size, as the two-member path does. {A, A', B} and {A, A, B}
+// then share one set-memo entry, so pricing the first must leave the
+// second's value what a fresh calculator computes.
+TEST(TnrpMemoizationPropertyTest, RepeatedMemberPricesAgainstItsOtherCopy) {
+  const SameClassTasks tasks;
+  const TnrpCalculator memoized(tasks.context, {});
+  ASSERT_EQ(memoized.PricingClass(*tasks[0]), memoized.PricingClass(*tasks[1]));
+  memoized.SetTnrp({tasks[0], tasks[1], tasks[2]});
+  const TnrpCalculator fresh(tasks.context, {});
+  EXPECT_EQ(memoized.SetTnrp({tasks[0], tasks[0], tasks[2]}),
+            fresh.SetTnrp({tasks[0], tasks[0], tasks[2]}));
+}
+
+// A member sequence of ids never priced before hits the set memo when its
+// pricing-class sequence was, on both set entry points.
+TEST(TnrpMemoizationPropertyTest, NewIdSequenceOfAPricedClassSequenceHitsTheSetMemo) {
+  const SameClassTasks tasks;
+  const TnrpCalculator memoized(tasks.context, {});
+  ASSERT_EQ(memoized.PricingClass(*tasks[2]), memoized.PricingClass(*tasks[3]));
+  ASSERT_NE(memoized.PricingClass(*tasks[0]), memoized.PricingClass(*tasks[2]));
+  const TnrpCalculator fresh(tasks.context, {});
+  for (const std::optional<InstanceFamily> family :
+       {std::optional<InstanceFamily>(), std::optional<InstanceFamily>(InstanceFamily::kC7i)}) {
+    memoized.SetTnrp({tasks[0], tasks[2], tasks[4]}, family);
+    const std::uint64_t hits = memoized.cache_stats().set_hits;
+    EXPECT_EQ(memoized.SetTnrp({tasks[1], tasks[3], tasks[4]}, family),
+              fresh.SetTnrp({tasks[1], tasks[3], tasks[4]}, family));
+    EXPECT_EQ(memoized.SetTnrpPlusOne({tasks[1], tasks[2]}, *tasks[4], family),
+              fresh.SetTnrp({tasks[1], tasks[2], tasks[4]}, family));
+    EXPECT_EQ(memoized.cache_stats().set_hits, hits + 2);
+  }
 }
 
 }  // namespace
