@@ -14,7 +14,7 @@
 //   * Tiers. With the spot market enabled the provider exposes a *tiered
 //     catalog*: indices [0, N) are the base on-demand types verbatim and
 //     [N, 2N) are their spot twins (same family/capacity, "-spot" names).
-//     Capacities and shard layouts key off this stable object, while the
+//     Capacities and type indices key off this stable object, while the
 //     per-round *decision* prices come from a quote snapshot — the same
 //     layout with spot entries at the current quote times (1 + risk
 //     premium). Schedulers therefore price spot against on-demand with zero
@@ -104,7 +104,7 @@ class CloudProvider {
 
   // The stable catalog simulations run against: the base catalog when spot
   // is off, base + spot twins when on. Object identity is stable for the
-  // provider's lifetime (cluster-state shards key off it).
+  // provider's lifetime (the cluster state keeps a reference to it).
   const InstanceCatalog& tiered_catalog() const {
     return spot_enabled() ? tiered_ : base_;
   }

@@ -7,10 +7,6 @@
 //     context's epoch-stamped flat indices: anywhere the engine used to
 //     rebuild a per-round unordered_map it can keep one column for the whole
 //     run and Clear() it per round — zero allocations at steady state.
-//   * EpochSet<Id> — EpochColumn<char> membership plus an insertion-order
-//     list, replacing per-event std::set node churn (the execution model's
-//     dirty set). O(1) insert/contains/Clear; the list can be sorted when a
-//     consumer needs id-ascending iteration.
 //   * IdSet<Id> — a sorted flat vector with set semantics. Iteration order
 //     is identical to std::set<Id>, but erase/insert reuse one contiguous
 //     buffer instead of allocating/freeing a node per mutation. Meant for
@@ -105,60 +101,6 @@ class EpochColumn {
   std::uint32_t epoch_ = 1;
 };
 
-// Set of integer ids with O(1) insert/contains/Clear and an explicit
-// element list. Iteration order is insertion order; call SortedView() (or
-// sort `items()` yourself) when a consumer requires ascending ids.
-template <typename Id>
-class EpochSet {
- public:
-  // Returns true if the id was newly inserted (or re-inserted after an
-  // EraseMembership this epoch — the element list already has it then).
-  bool Insert(Id id) {
-    if (const char* member = member_.Find(static_cast<std::size_t>(id))) {
-      if (*member != 0) {
-        return false;
-      }
-      member_.Touch(static_cast<std::size_t>(id)) = 1;
-      return true;
-    }
-    member_.Touch(static_cast<std::size_t>(id)) = 1;
-    items_.push_back(id);
-    return true;
-  }
-
-  bool Contains(Id id) const {
-    const char* member = member_.Find(static_cast<std::size_t>(id));
-    return member != nullptr && *member != 0;
-  }
-
-  // Removes the id from membership; the element list keeps the stale entry
-  // until Clear() (consumers filter through Contains). The execution model
-  // never needs mid-epoch erase, so this stays O(1).
-  void EraseMembership(Id id) {
-    if (member_.Contains(static_cast<std::size_t>(id))) {
-      member_.Touch(static_cast<std::size_t>(id)) = 0;
-    }
-  }
-
-  bool Empty() const { return items_.empty(); }
-  std::size_t SizeUpperBound() const { return items_.size(); }
-
-  // The insertion-order element list; may contain erased ids (check
-  // Contains) but never duplicates.
-  const std::vector<Id>& items() const { return items_; }
-  std::vector<Id>& mutable_items() { return items_; }
-
-  void Clear() {
-    member_.Clear();
-    items_.clear();
-  }
-
- private:
-  // 1 = member, 0 = erased-this-epoch; absent stamp = never inserted.
-  EpochColumn<char> member_;
-  std::vector<Id> items_;
-};
-
 // Sorted flat vector with std::set semantics and iteration order. insert()
 // and erase() shift the tail (fine at per-record cardinalities); capacity
 // is retained across mutations, so steady-state churn allocates nothing.
@@ -216,7 +158,8 @@ class IdSet {
 // payload lives in caller-owned storage): `Find`/`Upsert` take any probe
 // the Eq functor can compare against a stored key, plus the precomputed
 // hash. `Hash` re-hashes *stored* keys on growth, so interned keys should
-// embed their hash. Not internally synchronized — callers shard + lock.
+// embed their hash. Not internally synchronized: its owner (the TNRP
+// calculator) is called from one thread at a time.
 template <typename K, typename V, typename Hash, typename Eq = std::equal_to<K>>
 class FlatMemoMap {
  public:

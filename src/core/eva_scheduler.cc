@@ -297,7 +297,6 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
   }
   IncrementalOptions incremental;
   incremental.packing = packing;
-  incremental.full_repack_fraction = options_.incremental_full_repack_fraction;
   const IncrementalOutcome outcome = IncrementalReconfigurationInto(
       context, *calculator_, memo_.full, incremental, work_full_);
   if (outcome == IncrementalOutcome::kIncremental) {

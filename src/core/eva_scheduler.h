@@ -93,7 +93,6 @@ struct EvaOptions {
   };
   IncrementalPacking incremental_packing = IncrementalPacking::kAuto;
   std::size_t incremental_auto_min_jobs = 10000;
-  double incremental_full_repack_fraction = 0.25;
 
   // Bounded-divergence reconciliation cadence: after this many consecutive
   // packs without a known-exact incumbent, run FullReconfiguration alongside

@@ -136,7 +136,7 @@ void PackByReservationPriceInto(const SchedulingContext& context,
       // Line 14: keep the instance only if the assignment is cost-efficient.
       const bool cost_efficient =
           !members.empty() &&
-          best_set_tnrp + options.cost_epsilon * type.cost_per_hour >= type.cost_per_hour;
+          best_set_tnrp + kCostEfficiencyEpsilon * type.cost_per_hour >= type.cost_per_hour;
       if (!cost_efficient) {
         break;  // Move on to the next cheaper instance type.
       }

@@ -30,11 +30,12 @@ struct PackingResult {
   std::vector<TaskId> unassigned;
 };
 
-struct PackingOptions {
-  // Relative slack on the cost-efficiency test TNRP(T) >= C_k, avoiding
-  // spurious rejections from floating-point noise.
-  double cost_epsilon = 1e-9;
+// Relative slack on the cost-efficiency test TNRP(T) >= C_k, avoiding
+// spurious rejections from floating-point noise. Shared by the Full,
+// Partial and incremental packs.
+inline constexpr double kCostEfficiencyEpsilon = 1e-9;
 
+struct PackingOptions {
   // Place greedy leftovers on their standalone RP instances.
   bool assign_leftovers_standalone = true;
 

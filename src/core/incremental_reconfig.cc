@@ -70,9 +70,7 @@ IncrementalOutcome IncrementalReconfigurationInto(const SchedulingContext& conte
     }
     const InstanceType& type = context.catalog->Get(instance.type_index);
     const Money cost = type.cost_per_hour;
-    if (calculator.SetTnrp(members, type.family) +
-            options.packing.cost_epsilon * cost <
-        cost) {
+    if (calculator.SetTnrp(members, type.family) + kCostEfficiencyEpsilon * cost < cost) {
       continue;  // No longer cost-efficient; release and repack.
     }
     ConfigInstance& kept = appender.Append();

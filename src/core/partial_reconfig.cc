@@ -43,7 +43,7 @@ void PartialReconfigurationInto(const SchedulingContext& context,
     const Money cost = type.cost_per_hour;
     const bool cost_efficient =
         !members.empty() &&
-        calculator.SetTnrp(members, type.family) + options.cost_epsilon * cost >= cost;
+        calculator.SetTnrp(members, type.family) + kCostEfficiencyEpsilon * cost >= cost;
     if (cost_efficient) {
       ConfigInstance& kept = appender.Append();
       kept.type_index = instance.type_index;

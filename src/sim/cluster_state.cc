@@ -15,8 +15,7 @@ void SortUnique(std::vector<std::int64_t>& ids) {
 
 }  // namespace
 
-ClusterState::ClusterState(const InstanceCatalog& catalog)
-    : catalog_(catalog), shards_(static_cast<std::size_t>(catalog.NumTypes())) {}
+ClusterState::ClusterState(const InstanceCatalog& catalog) : catalog_(catalog) {}
 
 JobRec* ClusterState::FindJob(JobId id) {
   const auto it = jobs_.find(id);
@@ -91,9 +90,6 @@ InstRec& ClusterState::CreateInstance(int type_index, SimTime launch_time, SimTi
   instance.launch_time = launch_time;
   instance.ready_time = ready_time;
   ++instances_launched_;
-  Shard& shard = ShardOf(type_index);
-  shard.members.insert(instance.id);
-  shard.dirty = true;
   composition_dirty_ = true;  // Capacity changed; allocation did not (empty).
   round_delta_.instances_launched.push_back(instance.id);
   return instances_[instance.id] = std::move(instance);
@@ -130,9 +126,6 @@ bool ClusterState::MaybeTerminate(InstanceId id, SimTime now) {
     return false;
   }
   AccrueTerminated(instance, now);
-  Shard& shard = ShardOf(instance.type_index);
-  shard.members.erase(id);
-  shard.dirty = true;
   composition_dirty_ = true;  // An empty instance: allocation unchanged.
   round_delta_.instances_terminated.push_back(id);
   instances_.erase(it);
@@ -145,10 +138,6 @@ void ClusterState::TerminateAllLive(SimTime now) {
     round_delta_.instances_terminated.push_back(id);
   }
   instances_.clear();
-  for (Shard& shard : shards_) {
-    shard.members.clear();
-    shard.dirty = true;
-  }
   composition_dirty_ = true;
   alloc_dirty_ = true;  // Aborted runs can terminate occupied instances.
 }
@@ -156,7 +145,6 @@ void ClusterState::TerminateAllLive(SimTime now) {
 void ClusterState::MarkAssignmentChanged(InstanceId instance_id) {
   if (InstRec* instance = FindInstance(instance_id)) {
     instance->demands_dirty = true;
-    ShardOf(instance->type_index).dirty = true;
   }
   composition_dirty_ = true;
   alloc_dirty_ = true;
@@ -224,68 +212,47 @@ ClusterState::DetachResult ClusterState::MarkTaskDone(TaskRec& task) {
 }
 
 void ClusterState::RefreshCompositionSums() {
-  // Dirty shards first: capacity and assigned-task counts are integral, so
-  // re-summing one shard and re-combining across shards is exact — the
-  // totals match the old global id-order rescan bit-for-bit.
-  for (Shard& shard : shards_) {
-    if (!shard.dirty) {
-      continue;
-    }
-    for (int r = 0; r < kNumResources; ++r) {
-      shard.cap[r] = 0.0;
-    }
-    shard.assigned_tasks = 0.0;
-    for (InstanceId id : shard.members) {
-      const InstRec& instance = instances_.at(id);
-      const InstanceType& type = catalog_.Get(instance.type_index);
-      for (int r = 0; r < kNumResources; ++r) {
-        shard.cap[r] += type.capacity.Get(static_cast<Resource>(r));
-      }
-      shard.assigned_tasks += static_cast<double>(instance.assigned.size());
-    }
-    shard.dirty = false;
-  }
+  // Capacities and assigned-task counts are integral, so their sums are
+  // exact in any order. Allocation sums can be fractional, so that fold
+  // must replicate the original global order (instances ascending by id,
+  // members ascending by task id) to stay bit-identical — only the per-task
+  // demand lookups are cached away, rebuilt just for instances whose
+  // assignment changed.
   for (int r = 0; r < kNumResources; ++r) {
     cached_cap_[r] = 0.0;
-  }
-  cached_assigned_tasks_ = 0.0;
-  for (const Shard& shard : shards_) {
-    for (int r = 0; r < kNumResources; ++r) {
-      cached_cap_[r] += shard.cap[r];
-    }
-    cached_assigned_tasks_ += shard.assigned_tasks;
-  }
-
-  // Allocation sums can be fractional, so the fold must replicate the
-  // original global order (instances ascending by id, members ascending by
-  // task id) to stay bit-identical — only the per-task demand lookups are
-  // cached away, rebuilt just for instances whose assignment changed.
-  if (alloc_dirty_) {
-    for (int r = 0; r < kNumResources; ++r) {
+    if (alloc_dirty_) {
       cached_alloc_[r] = 0.0;
     }
-    for (auto& [inst_id, instance] : instances_) {
-      (void)inst_id;
-      if (instance.demands_dirty) {
-        instance.member_demands.clear();
-        const InstanceType& type = catalog_.Get(instance.type_index);
-        for (TaskId task_id : instance.assigned) {
-          const TaskRec* task = tasks_.Find(task_id);
-          if (task == nullptr || task->job_ref == nullptr) {
-            continue;
-          }
-          instance.member_demands.push_back(task->job_ref->spec.DemandFor(type.family));
+  }
+  cached_assigned_tasks_ = 0.0;
+  for (auto& [inst_id, instance] : instances_) {
+    (void)inst_id;
+    const InstanceType& type = catalog_.Get(instance.type_index);
+    for (int r = 0; r < kNumResources; ++r) {
+      cached_cap_[r] += type.capacity.Get(static_cast<Resource>(r));
+    }
+    cached_assigned_tasks_ += static_cast<double>(instance.assigned.size());
+    if (!alloc_dirty_) {
+      continue;
+    }
+    if (instance.demands_dirty) {
+      instance.member_demands.clear();
+      for (TaskId task_id : instance.assigned) {
+        const TaskRec* task = tasks_.Find(task_id);
+        if (task == nullptr || task->job_ref == nullptr) {
+          continue;
         }
-        instance.demands_dirty = false;
+        instance.member_demands.push_back(task->job_ref->spec.DemandFor(type.family));
       }
-      for (const ResourceVector& demand : instance.member_demands) {
-        for (int r = 0; r < kNumResources; ++r) {
-          cached_alloc_[r] += demand.Get(static_cast<Resource>(r));
-        }
+      instance.demands_dirty = false;
+    }
+    for (const ResourceVector& demand : instance.member_demands) {
+      for (int r = 0; r < kNumResources; ++r) {
+        cached_alloc_[r] += demand.Get(static_cast<Resource>(r));
       }
     }
-    alloc_dirty_ = false;
   }
+  alloc_dirty_ = false;
   composition_dirty_ = false;
 }
 
@@ -301,14 +268,13 @@ void ClusterState::IntegrateTo(SimTime dt) {
   task_instance_seconds_ += cached_assigned_tasks_ * dt;
 }
 
-SchedulingContext ClusterState::BuildContext(SimTime now, bool grant_runtime_estimates) const {
+SchedulingContext ClusterState::BuildContext(SimTime now) const {
   SchedulingContext context;
-  FillContext(now, grant_runtime_estimates, context);
+  FillContext(now, context);
   return context;
 }
 
-void ClusterState::FillContext(SimTime now, bool grant_runtime_estimates,
-                               SchedulingContext& context) const {
+void ClusterState::FillContext(SimTime now, SchedulingContext& context) const {
   context.tasks.clear();
   context.delta.Clear();
   context.throughput = nullptr;
@@ -328,7 +294,7 @@ void ClusterState::FillContext(SimTime now, bool grant_runtime_estimates,
       info.demand_cpu = job.spec.demand_cpu;
       info.family_speedup = job.spec.family_speedup;
       info.current_instance = task.target;
-      info.remaining_work_s = grant_runtime_estimates ? job.remaining_work_s : -1.0;
+      info.remaining_work_s = job.remaining_work_s;
       context.tasks.push_back(std::move(info));
     }
   }

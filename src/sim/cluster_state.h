@@ -6,12 +6,10 @@
 //   * an instance's `present` set contains exactly the tasks whose container
 //     lives on it (states kRunning / kCheckpointing) — terminal transitions
 //     prune it, so colocation lookups can never see a stale entry;
-//   * the state is sharded by instance group (one shard per catalog type):
-//     each shard tracks its member instances and caches its capacity and
-//     assigned-task-count sums, so a mutation only dirties — and the next
-//     IntegrateTo() only recomputes — the touched shard. Capacities and
-//     counts are integral, so summing shard caches is exact and the totals
-//     stay bit-identical to the pre-shard engine's id-order rescan;
+//   * the composition sums IntegrateTo() integrates are cached and re-summed
+//     in one pass over the live instances only after a mutation. Capacities
+//     and assigned-task counts are integral, so their sums are exact in any
+//     order;
 //   * the allocation sums may involve fractional demands, whose floating-
 //     point folds are order-sensitive — they are therefore recomputed with
 //     the exact same global instance-id-order fold as always, but over
@@ -113,15 +111,6 @@ struct InstRec {
 
 class ClusterState {
  public:
-  // One instance group (catalog type): its member instances plus the
-  // exact (integral) composition sums IntegrateTo() combines.
-  struct Shard {
-    std::set<InstanceId> members;
-    bool dirty = false;
-    double cap[kNumResources] = {0, 0, 0};
-    double assigned_tasks = 0.0;
-  };
-
   explicit ClusterState(const InstanceCatalog& catalog);
 
   // --- Lookup -----------------------------------------------------------
@@ -133,7 +122,6 @@ class ClusterState {
   const std::set<JobId>& active_jobs() const { return active_; }
   int num_active() const { return static_cast<int>(active_.size()); }
   bool HasLiveInstances() const { return !instances_.empty(); }
-  const std::vector<Shard>& shards() const { return shards_; }
 
   JobRec* FindJob(JobId id);
   const JobRec* FindJob(JobId id) const;
@@ -203,13 +191,14 @@ class ClusterState {
   // --- Outputs ------------------------------------------------------------
   // Snapshot handed to Scheduler::Schedule (active jobs' tasks + live,
   // non-condemned instances), in deterministic id order.
-  SchedulingContext BuildContext(SimTime now, bool grant_runtime_estimates) const;
+  // Every task carries its job's exact remaining work (the paper grants
+  // Stratus its best case; other schedulers ignore it).
+  SchedulingContext BuildContext(SimTime now) const;
 
   // BuildContext into a caller-owned context, reusing its vectors' capacity
   // and its index maps' buckets — the per-round fast path (a fresh context
   // allocates a dozen containers every scheduling round).
-  void FillContext(SimTime now, bool grant_runtime_estimates,
-                   SchedulingContext& context) const;
+  void FillContext(SimTime now, SchedulingContext& context) const;
 
   // Drains the changes accumulated since the previous call (O(delta)):
   // entries are deduplicated and sorted, complete is set. The simulator
@@ -253,7 +242,6 @@ class ClusterState {
   }
 
  private:
-  Shard& ShardOf(int type_index) { return shards_[static_cast<std::size_t>(type_index)]; }
   void MarkAssignmentChanged(InstanceId instance_id);
   void RefreshCompositionSums();
 
@@ -284,11 +272,10 @@ class ClusterState {
   };
   std::vector<CompletedJob> completed_;
 
-  // Per-group shards plus the combined sums IntegrateTo consumes.
-  // `composition_dirty_` is any-shard-or-alloc dirty; `alloc_dirty_` forces
-  // the global allocation refold (set only when an assignment changes, not
-  // when an empty instance launches or terminates).
-  std::vector<Shard> shards_;
+  // The composition sums IntegrateTo consumes. `composition_dirty_` forces
+  // the capacity/count re-sum; `alloc_dirty_` also forces the allocation
+  // refold (set only when an assignment changes, not when an empty instance
+  // launches or terminates).
   bool composition_dirty_ = true;
   bool alloc_dirty_ = true;
   double cached_cap_[kNumResources] = {0, 0, 0};

@@ -68,42 +68,26 @@ struct SimEvent {
   }
 };
 
-// Two-lane priority structure popping the exact order a single heap would:
-//   * a hand-rolled 4-ary min-heap — shallower than std::priority_queue's
-//     binary heap, and its four children share a cache line of SimEvents —
-//     for the general population;
-//   * a one-element front slot holding the current minimum, so an event
-//     pushed earlier than everything outstanding and popped next (the
-//     completion-check re-arm) never sifts the heap. With same-time
-//     duplicate completion checks folded, that pattern is no longer the
-//     bulk of the event stream; whether the slot still pays is unmeasured.
-// Every cross-lane decision uses the exact event comparator, a strict total
-// order (time, then arrival rank, then sequence number), so the pop
-// sequence — and therefore every simulation — is identical to a plain
-// heap's.
+// A binary heap (std::push_heap / std::pop_heap) over one vector, ordered by
+// SimEvent::operator>. That comparator is a strict total order (time, then
+// arrival rank, then the unique sequence number), so the pop sequence — and
+// therefore every simulation — does not depend on the heap's layout.
 class EventQueue {
  public:
   void Push(SimTime time, SimEventType type, std::int64_t a = 0, int version = 0);
 
-  bool Empty() const { return heap_.empty() && !has_front_; }
-  std::size_t Size() const { return heap_.size() + (has_front_ ? 1 : 0); }
+  bool Empty() const { return heap_.empty(); }
+  std::size_t Size() const { return heap_.size(); }
 
   // Earliest event (FIFO among ties). Requires !Empty().
-  const SimEvent& Top() const;
+  const SimEvent& Top() const { return heap_.front(); }
   SimEvent Pop();
 
   // Total number of events ever pushed.
   std::uint64_t pushed() const { return next_seq_; }
 
  private:
-  static bool Before(const SimEvent& a, const SimEvent& b) { return b > a; }
-  void SiftUp(std::size_t index);
-  void SiftDown(std::size_t index);
-  void HeapPush(const SimEvent& event);
-
   std::vector<SimEvent> heap_;
-  SimEvent front_;  // The queue minimum, valid when has_front_.
-  bool has_front_ = false;
   std::uint64_t next_seq_ = 0;
 };
 

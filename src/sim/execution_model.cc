@@ -51,21 +51,12 @@ double ExecutionModel::TaskThroughput(const TaskRec& task) const {
 
 void ExecutionModel::MarkInstanceDirty(const InstRec& instance) {
   for (TaskId task_id : instance.present) {
-    dirty_.Insert(state_->tasks().at(task_id).job);
+    dirty_.push_back(state_->tasks().at(task_id).job);
   }
-}
-
-void ExecutionModel::RefreshProgressingFlat() {
-  if (!progressing_flat_stale_) {
-    return;
-  }
-  progressing_flat_.assign(progressing_.begin(), progressing_.end());
-  progressing_flat_stale_ = false;
 }
 
 void ExecutionModel::IntegrateWork(SimTime dt) {
-  RefreshProgressingFlat();
-  for (const auto& [job_id, job_ptr] : progressing_flat_) {
+  for (const auto& [job_id, job_ptr] : progressing_) {
     JobRec& job = *job_ptr;
     job.remaining_work_s -= job.current_rate * dt;
     job.running_seconds += dt;
@@ -76,15 +67,12 @@ void ExecutionModel::IntegrateWork(SimTime dt) {
 }
 
 SimTime ExecutionModel::RecomputeDirtyRates(SimTime now) {
-  // Drain in ascending id order — the exact iteration order of the std::set
-  // this flat buffer replaced. (Rates are recomputed independently per job,
-  // but keeping the order identical keeps the engine trivially audit-equal.)
-  std::vector<JobId>& dirty_ids = dirty_.mutable_items();
-  std::sort(dirty_ids.begin(), dirty_ids.end());
-  for (JobId job_id : dirty_ids) {
-    if (!dirty_.Contains(job_id)) {
-      continue;  // Erased (job deactivated) after being marked.
-    }
+  // Drain in ascending id order, skipping jobs that completed or were
+  // dropped after being marked. (Rates are recomputed independently per
+  // job, but a fixed order keeps the engine trivially audit-equal.)
+  std::sort(dirty_.begin(), dirty_.end());
+  dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
+  for (JobId job_id : dirty_) {
     JobRec* job = state_->FindJob(job_id);
     if (job == nullptr || !job->active) {
       continue;
@@ -102,52 +90,30 @@ SimTime ExecutionModel::RecomputeDirtyRates(SimTime now) {
     }
     job->current_rate = all_running && rate > 0.0 ? rate : 0.0;
     if (job->current_rate > 0.0) {
-      progressing_flat_stale_ |= progressing_.emplace(job_id, job).second;
+      progressing_.emplace(job_id, job);
     } else {
-      progressing_flat_stale_ |= progressing_.erase(job_id) > 0;
+      progressing_.erase(job_id);
     }
   }
-  dirty_.Clear();
+  dirty_.clear();
 
-  // Project the earliest completion over everything still progressing. The
-  // projection is refreshed every event (remaining work drifts as it is
-  // integrated stepwise), matching a full rescan's arming decisions.
-  //
-  // Candidates are prefiltered by cross-multiplication to skip most per-job
-  // divisions: remaining_j / rate_j exceeding the incumbent's quotient
-  // implies (rounding is monotone) an ETA at or past the incumbent's, which
-  // the first-wins min would discard anyway. The margin keeps the filter
-  // conservative against multiply rounding; near-ties fall through to the
-  // exact divide, so the returned value — and every arming decision
-  // downstream — is bit-identical to the plain loop. With same-time
-  // duplicate completion checks folded, the 10k-job trace runs this scan
-  // ~73k times instead of ~10M; whether the prefilter still pays is
-  // unmeasured.
-  RefreshProgressingFlat();
+  // Project the earliest completion over everything still progressing
+  // (first wins among equal ETAs). The projection is refreshed every event
+  // (remaining work drifts as it is integrated stepwise), matching a full
+  // rescan's arming decisions.
   SimTime earliest = -1.0;
-  double best_rem = 0.0;   // Incumbent's clamped remaining work.
-  double best_rate = 0.0;  // Incumbent's rate (0 marks "no incumbent").
-  for (const auto& [job_id, job_ptr] : progressing_flat_) {
+  for (const auto& [job_id, job] : progressing_) {
     (void)job_id;
-    const JobRec& job = *job_ptr;
-    const double rem = std::max(job.remaining_work_s, 0.0);
-    if (best_rate > 0.0 &&
-        rem * best_rate > best_rem * job.current_rate * (1.0 + 1e-12)) {
-      continue;  // Certainly no earlier than the incumbent.
-    }
-    const SimTime eta = now + rem / job.current_rate;
+    const SimTime eta = now + std::max(job->remaining_work_s, 0.0) / job->current_rate;
     if (earliest < 0.0 || eta < earliest) {
       earliest = eta;
-      best_rem = rem;
-      best_rate = job.current_rate;
     }
   }
   return earliest;
 }
 
 void ExecutionModel::OnJobDeactivated(JobId job) {
-  progressing_flat_stale_ |= progressing_.erase(job) > 0;
-  dirty_.EraseMembership(job);
+  progressing_.erase(job);
   candidates_.erase(job);
 }
 

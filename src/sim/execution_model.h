@@ -50,7 +50,7 @@ class ExecutionModel {
   double TaskThroughput(const TaskRec& task) const;
 
   // --- Dirty tracking ----------------------------------------------------
-  void MarkJobDirty(JobId job) { dirty_.Insert(job); }
+  void MarkJobDirty(JobId job) { dirty_.push_back(job); }
 
   // Marks every job with a container on `instance` dirty (its tasks'
   // colocation sets changed).
@@ -90,24 +90,16 @@ class ExecutionModel {
                                                                    Rng* rng) const;
 
  private:
-  void RefreshProgressingFlat();
-
   ClusterState* state_;
   const InstanceCatalog* catalog_;
   const InterferenceModel* interference_;
 
-  // The map is the source of truth (and the stable-API accessor); the flat
-  // mirror (same id-ascending order) is what the per-event integration and
-  // projection loops iterate — contiguous instead of pointer-chasing.
   std::map<JobId, JobRec*> progressing_;
-  std::vector<std::pair<JobId, JobRec*>> progressing_flat_;
-  bool progressing_flat_stale_ = false;
 
-  // Flat-storage job-id sets (SoA columns + reused buffers) — the per-event
-  // mutation rates made std::set node churn the engine's dominant allocation
-  // source. `dirty_` is drained in sorted order, `candidates_` kept sorted,
-  // so processing order matches the old std::set iteration exactly.
-  EpochSet<JobId> dirty_;
+  // `dirty_` collects ids as they are marked (duplicates included) and is
+  // sorted and deduplicated when drained, so jobs are recomputed in
+  // ascending id order; `candidates_` is kept sorted.
+  std::vector<JobId> dirty_;
   IdSet<JobId> candidates_;
 
   // Round-scoped observation buffer, reset per round (CollectObservations

@@ -488,7 +488,7 @@ void Simulator::Impl::HandleRound() {
   const std::vector<JobThroughputObservation>& observations = exec_.CollectObservations(
       options_.physical_mode, options_.observation_noise_stddev, &rng_);
   SchedulingContext& context = round_context_;  // Reused storage across rounds.
-  state_.FillContext(now_, options_.grant_runtime_estimates, context);
+  state_.FillContext(now_, context);
   if (SpotActive()) {
     // Reprice the spot tier for this round's decision. The snapshot comes
     // from the provider's step-keyed cache: rounds within one price step
@@ -511,16 +511,15 @@ void Simulator::Impl::HandleRound() {
   metrics_.scheduler_wall_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - sched_start).count();
 
-  if (options_.validate_configs) {
-    if (const auto error = config.Validate(context)) {
-      EVA_LOG_ERROR("scheduler %s returned invalid config at t=%.0f: %s",
-                    scheduler_->name().c_str(), now_, error->c_str());
-      // Keep replaying the rejection (and its log line) every round rather
-      // than certifying a round that never applied its configuration.
-      last_apply_noop_ = false;
-    } else {
-      ApplyConfig(context, config);
-    }
+  // Every returned configuration is checked against the capacity and
+  // duplication invariants; an invalid one is rejected (logged, round
+  // skipped).
+  if (const auto error = config.Validate(context)) {
+    EVA_LOG_ERROR("scheduler %s returned invalid config at t=%.0f: %s",
+                  scheduler_->name().c_str(), now_, error->c_str());
+    // Keep replaying the rejection (and its log line) every round rather
+    // than certifying a round that never applied its configuration.
+    last_apply_noop_ = false;
   } else {
     ApplyConfig(context, config);
   }

@@ -50,14 +50,6 @@ struct SimulatorOptions {
   // Scales job checkpoint+launch delays (the Figure 5 sweep).
   double migration_delay_multiplier = 1.0;
 
-  // Expose perfect remaining-runtime estimates to the scheduler (the paper
-  // grants Stratus its best case; harmless to others, which ignore it).
-  bool grant_runtime_estimates = true;
-
-  // Check every returned configuration against capacity/duplication
-  // invariants; invalid configurations are rejected (logged, round skipped).
-  bool validate_configs = true;
-
   // Quiescence-aware round trigger: when nothing decision-relevant changed
   // since the previous round (empty RoundDelta, no task-rate transitions,
   // previous apply was a no-op), offer the round to

@@ -64,24 +64,6 @@ TEST(EpochColumnTest, EpochInvalidationMatchesPerRoundMapSemantics) {
   }
 }
 
-TEST(EpochSetTest, InsertContainsEraseClear) {
-  EpochSet<std::int64_t> set;
-  EXPECT_TRUE(set.Insert(5));
-  EXPECT_FALSE(set.Insert(5));
-  EXPECT_TRUE(set.Insert(2));
-  EXPECT_TRUE(set.Contains(5));
-  EXPECT_FALSE(set.Contains(3));
-  set.EraseMembership(5);
-  EXPECT_FALSE(set.Contains(5));
-  EXPECT_TRUE(set.Contains(2));
-  // items() retains the stale 5 until Clear, but membership is the truth.
-  EXPECT_EQ(set.items().size(), 2u);
-  set.Clear();
-  EXPECT_TRUE(set.Empty());
-  EXPECT_FALSE(set.Contains(2));
-  EXPECT_TRUE(set.Insert(2));
-}
-
 TEST(IdSetTest, MatchesStdSetUnderRandomChurn) {
   IdSet<std::int64_t> flat;
   std::set<std::int64_t> reference;

@@ -176,7 +176,7 @@ TEST(ClusterStateTest, BuildContextListsActiveJobsAndLiveInstances) {
   state.Condemn(condemned.id);
   state.SetTarget(*state.FindTask(active_job.tasks[0]), live.id);
 
-  const SchedulingContext context = state.BuildContext(/*now=*/250.0, true);
+  const SchedulingContext context = state.BuildContext(/*now=*/250.0);
   EXPECT_EQ(context.now_s, 250.0);
   ASSERT_EQ(context.tasks.size(), 1u);  // Only the active job's task.
   EXPECT_EQ(context.tasks[0].job, 0);
@@ -187,43 +187,36 @@ TEST(ClusterStateTest, BuildContextListsActiveJobsAndLiveInstances) {
 }
 
 
-TEST(ClusterStateShardTest, ShardsTrackPerGroupComposition) {
+// The cached composition sums follow launches on two catalog types, a
+// retarget across them and a termination; the integrals FinalizeMetrics
+// reports match hand-computed time-weighted values.
+TEST(ClusterStateTest, CompositionIntegralsTrackLaunchRetargetTerminate) {
   const InstanceCatalog catalog = TestCatalog();
   ClusterState state(catalog);
-  ASSERT_EQ(state.shards().size(), 2u);
-
-  JobRec& job = state.AddJob(TestJob(0, 1, 2, 4, /*num_tasks=*/2));
+  JobRec& job = state.AddJob(TestJob(0, /*gpus=*/1, /*cpus=*/3, /*ram=*/5, /*num_tasks=*/2));
   InstRec& small = state.CreateInstance(/*type_index=*/0, 0.0, 0.0);
   InstRec& large = state.CreateInstance(/*type_index=*/1, 0.0, 0.0);
   state.SetTarget(*state.FindTask(job.tasks[0]), small.id);
   state.SetTarget(*state.FindTask(job.tasks[1]), large.id);
 
-  // IntegrateTo refreshes the dirty shards lazily.
+  // 1 s: capacity {12, 24, 48}, allocation {2, 6, 10}, 2 instances, 2 tasks.
   state.IntegrateTo(1.0);
-  const ClusterState::Shard& shard0 = state.shards()[0];
-  const ClusterState::Shard& shard1 = state.shards()[1];
-  EXPECT_EQ(shard0.members.count(small.id), 1u);
-  EXPECT_EQ(shard1.members.count(large.id), 1u);
-  EXPECT_FALSE(shard0.dirty);
-  EXPECT_FALSE(shard1.dirty);
-  EXPECT_DOUBLE_EQ(shard0.cap[0], 4.0);
-  EXPECT_DOUBLE_EQ(shard1.cap[0], 8.0);
-  EXPECT_DOUBLE_EQ(shard0.assigned_tasks, 1.0);
-  EXPECT_DOUBLE_EQ(shard1.assigned_tasks, 1.0);
-
-  // Retargeting the large-box task touches both shards; after the next
-  // integration the sums reflect the move.
+  // 2 s after the large-box task moves to the small box: same totals.
   state.SetTarget(*state.FindTask(job.tasks[1]), small.id);
-  state.IntegrateTo(1.0);
-  EXPECT_DOUBLE_EQ(state.shards()[0].assigned_tasks, 2.0);
-  EXPECT_DOUBLE_EQ(state.shards()[1].assigned_tasks, 0.0);
-
-  // Termination removes the instance from its shard.
+  state.IntegrateTo(2.0);
+  // 4 s after the emptied large box terminates: capacity {4, 8, 16},
+  // allocation {2, 6, 10}, 1 instance, 2 tasks.
   state.Condemn(large.id);
-  EXPECT_TRUE(state.MaybeTerminate(large.id, 2.0));
-  state.IntegrateTo(1.0);
-  EXPECT_TRUE(state.shards()[1].members.empty());
-  EXPECT_DOUBLE_EQ(state.shards()[1].cap[0], 0.0);
+  EXPECT_TRUE(state.MaybeTerminate(large.id, 3.0));
+  state.IntegrateTo(4.0);
+
+  const SimulationMetrics metrics = Finalized(state);
+  // Task-instance seconds 2 + 4 + 8 over instance seconds 2 + 4 + 4.
+  EXPECT_DOUBLE_EQ(metrics.avg_tasks_per_instance, 14.0 / 10.0);
+  // Allocation seconds over capacity seconds, per resource.
+  EXPECT_DOUBLE_EQ(metrics.avg_alloc_gpu, (2.0 + 4.0 + 8.0) / (12.0 + 24.0 + 16.0));
+  EXPECT_DOUBLE_EQ(metrics.avg_alloc_cpu, (6.0 + 12.0 + 24.0) / (24.0 + 48.0 + 32.0));
+  EXPECT_DOUBLE_EQ(metrics.avg_alloc_ram, (10.0 + 20.0 + 40.0) / (48.0 + 96.0 + 64.0));
 }
 
 TEST(ClusterStateDeltaTest, AccumulatesAndDrainsRoundDeltas) {

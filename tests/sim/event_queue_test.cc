@@ -62,13 +62,13 @@ TEST(EventQueueTest, InterleavedPushPopKeepsOrder) {
   EXPECT_EQ(queue.Pop().a, 3);
 }
 
-// The front slot (the push-then-pop fast path) must stay totally ordered
-// against the heap lane, including the decreasing-time re-arm pattern,
-// displacement by an even earlier push, and equal-time FIFO ties.
-TEST(EventQueueTest, FrontSlotOrdersAgainstHeapEvents) {
+// Completion checks re-armed at decreasing times must stay totally ordered
+// against the other queued events, including a push landing between
+// already-queued checks.
+TEST(EventQueueTest, DecreasingTimeChecksOrderAgainstOtherEvents) {
   EventQueue queue;
-  // Decreasing-time check pushes (each displacing the previous front into
-  // the heap) interleaved with heap-bound events on both sides.
+  // Decreasing-time check pushes interleaved with other events on both
+  // sides.
   queue.Push(25.0, SimEventType::kRound, 100);
   queue.Push(40.0, SimEventType::kCompletionCheck, 1);
   queue.Push(30.0, SimEventType::kCompletionCheck, 2);
@@ -87,12 +87,12 @@ TEST(EventQueueTest, FrontSlotOrdersAgainstHeapEvents) {
   EXPECT_TRUE(queue.Empty());
 }
 
-TEST(EventQueueTest, EqualTimeChecksPopFifoAcrossLanes) {
+TEST(EventQueueTest, EqualTimeChecksPopFifo) {
   EventQueue queue;
   queue.Push(10.0, SimEventType::kCompletionCheck, 1);
   queue.Push(10.0, SimEventType::kLaunchDone, 2);
   queue.Push(10.0, SimEventType::kCompletionCheck, 3);
-  // Same time, non-arrival: FIFO by sequence number, across lanes.
+  // Same time, non-arrival: FIFO by sequence number.
   EXPECT_EQ(queue.Pop().a, 1);
   EXPECT_EQ(queue.Pop().a, 2);
   EXPECT_EQ(queue.Pop().a, 3);

@@ -4,12 +4,14 @@
 // TaskLifecycle (retargets, launches, checkpoints, completions, work
 // integration) and checks after every step that the dirty-set rate
 // recomputation left every job at exactly the rate a full from-scratch
-// recomputation would produce.
+// recomputation would produce, and that the projected earliest completion
+// equals a brute-force scan.
 
 #include "src/sim/execution_model.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <vector>
 
@@ -162,6 +164,24 @@ double FullRecomputeRate(const ExecutionModel& exec, const ClusterState& state,
   return rate > 0.0 ? rate : 0.0;
 }
 
+// Brute-force completion projection: the first-wins minimum of
+// now + max(remaining, 0) / rate over the active positive-rate jobs in id
+// order, or -1 when there are none.
+SimTime BruteForceEarliestCompletion(const ClusterState& state, SimTime now) {
+  SimTime earliest = -1.0;
+  for (const auto& [job_id, job] : state.jobs()) {
+    (void)job_id;
+    if (!job.active || job.current_rate <= 0.0) {
+      continue;
+    }
+    const SimTime eta = now + std::max(job.remaining_work_s, 0.0) / job.current_rate;
+    if (earliest < 0.0 || eta < earliest) {
+      earliest = eta;
+    }
+  }
+  return earliest;
+}
+
 TEST_F(ExecutionModelTest, DirtySetRecomputeEqualsFullRecomputeOnRandomOps) {
   const InterferenceModel interference = InterferenceModel::Measured();
   Rng rng(1234);
@@ -207,7 +227,10 @@ TEST_F(ExecutionModelTest, DirtySetRecomputeEqualsFullRecomputeOnRandomOps) {
       } else {
         engine.DrainEvents();  // Let checkpoints/launches complete.
       }
-      engine.exec.RecomputeDirtyRates(engine.now);
+      const SimTime earliest = engine.exec.RecomputeDirtyRates(engine.now);
+      // The projection that arms completion checks is exact.
+      ASSERT_EQ(earliest, BruteForceEarliestCompletion(engine.state, engine.now))
+          << "round " << round << " op " << op;
 
       // Every job's incrementally-maintained rate equals the full oracle.
       for (const auto& [job_id, job] : engine.state.jobs()) {
