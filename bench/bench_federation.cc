@@ -16,29 +16,29 @@
 //    at 1 thread and at the hardware pool. Reports events/sec, the
 //    1→N-thread scaling ratio, the serialized share of the round phase,
 //    and the shard-derivation setup wall — the numbers behind the
-//    near-linear-scaling claim. Per-tenant metrics are bit-identical
-//    across both pool sizes (cross-checked here every run).
+//    near-linear-scaling claim. Every tenant's registry export must match
+//    across both pool sizes; a mismatch fails the run (non-zero exit).
 //
 // Reports per-tenant cost / spot share / JCT / denial / preemption counts
 // (capped; large fleets aggregate to min/median/p95/max rows) and the
-// provider-level utilization table. EVA_BENCH_JSON writes the same rows
-// machine-readably; EVA_BENCH_SCALE scales the per-tenant job counts.
+// provider-level utilization table. EVA_BENCH_JSON writes the first eight
+// tenants' registry exports (`<scenario>_<tenant>`) and one fleet row per
+// scenario (`_provider`) and sweep point (`_scale`): its shape and walls
+// plus the fleet export (PublishFederationResult). EVA_BENCH_SCALE scales
+// the per-tenant job counts.
 // Not a paper table: this is the scenario platform the provider-market
 // subsystem opens up.
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/format.h"
-#include "src/common/stats.h"
-#include "src/obs/publish.h"
-#include "src/obs/registry.h"
 #include "src/common/thread_pool.h"
+#include "src/obs/registry.h"
 #include "src/sim/federation.h"
 #include "src/workload/trace_gen.h"
 
@@ -46,8 +46,8 @@ namespace {
 
 using namespace eva;
 
-// Per-tenant JSON rows beyond this fold into the `_agg` aggregate row; a
-// 500-tenant sweep point must not emit 500 rows of noise.
+// Tenant rows beyond this are left to the fleet row; a 500-tenant sweep
+// point must not emit 500 rows of noise.
 constexpr std::size_t kMaxTenantJsonRows = 8;
 
 Trace MakeBaseTrace() {
@@ -63,161 +63,51 @@ double WallSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-std::int64_t TotalEvents(const FederationResult& result) {
-  std::int64_t events = 0;
-  for (const FederationResult::Tenant& tenant : result.tenants) {
-    events += tenant.metrics.events_processed;
-  }
-  return events;
-}
-
-// Cross-tenant distribution row: the per-tenant table compressed to
-// min/median/p95/max, which is all a 100+-tenant fleet's story needs.
-void EmitTenantAggregates(BenchJsonWriter& json, const std::string& name,
-                          const FederationResult& result) {
-  std::vector<double> cost;
-  std::vector<double> jct;
-  std::int64_t denied = 0;
-  std::int64_t preempted = 0;
-  std::int64_t completed = 0;
-  for (const FederationResult::Tenant& tenant : result.tenants) {
-    cost.push_back(tenant.metrics.total_cost);
-    jct.push_back(tenant.metrics.avg_jct_hours);
-    denied += tenant.metrics.acquisitions_denied;
-    preempted += tenant.metrics.spot_preemptions;
-    completed += tenant.metrics.jobs_completed;
-  }
-  char fields[640];
-  std::snprintf(
-      fields, sizeof(fields),
-      "\"tenants\": %zu, \"cost_min\": %.4f, \"cost_median\": %.4f, "
-      "\"cost_p95\": %.4f, \"cost_max\": %.4f, \"jct_min_hours\": %.6f, "
-      "\"jct_median_hours\": %.6f, \"jct_p95_hours\": %.6f, "
-      "\"jct_max_hours\": %.6f, \"denied\": " EVA_PRId64 ", \"preempted\": " EVA_PRId64
-      ", \"jobs_completed\": " EVA_PRId64,
-      result.tenants.size(), *std::min_element(cost.begin(), cost.end()),
-      Quantile(cost, 0.5), Quantile(cost, 0.95),
-      *std::max_element(cost.begin(), cost.end()),
-      *std::min_element(jct.begin(), jct.end()), Quantile(jct, 0.5),
-      Quantile(jct, 0.95), *std::max_element(jct.begin(), jct.end()),
-      denied, preempted, completed);
-  json.AddCaseFields(name + "_agg", fields);
-}
-
-// Fault-ledger row, emitted only when a scenario injected anything: kill /
-// drain / loss tallies summed across tenants, the goodput distribution, and
-// the provider-side clamp denials.
-void EmitFaultRow(BenchJsonWriter& json, const std::string& name,
-                  const FederationResult& result) {
-  FaultStats sum;
-  std::vector<double> goodput;
-  std::vector<double> p95;
-  for (const FederationResult::Tenant& tenant : result.tenants) {
-    const FaultStats& f = tenant.metrics.faults;
-    sum.zone_outages += f.zone_outages;
-    sum.correlated_failures += f.correlated_failures;
-    sum.maintenance_drains += f.maintenance_drains;
-    sum.instances_killed += f.instances_killed;
-    sum.instances_drained += f.instances_drained;
-    sum.tasks_evicted += f.tasks_evicted;
-    sum.tasks_lost += f.tasks_lost;
-    sum.lost_work_seconds += f.lost_work_seconds;
-    sum.replacements_completed += f.replacements_completed;
-    goodput.push_back(f.goodput_ratio);
-    if (f.replacements_completed > 0) {
-      p95.push_back(f.replacement_latency_p95_s);
-    }
-  }
-  if (sum.zone_outages + sum.correlated_failures + sum.maintenance_drains == 0) {
-    return;
-  }
-  std::int64_t fault_denied = 0;
-  for (const CloudProviderMetrics::Family& family : result.provider.families) {
-    fault_denied += family.fault_denied;
-  }
-  char fields[640];
-  std::snprintf(
-      fields, sizeof(fields),
-      "\"zone_outages\": " EVA_PRId64 ", \"correlated_failures\": " EVA_PRId64 ", "
-      "\"maintenance_drains\": " EVA_PRId64 ", \"instances_killed\": " EVA_PRId64 ", "
-      "\"instances_drained\": " EVA_PRId64 ", \"tasks_evicted\": " EVA_PRId64 ", "
-      "\"tasks_lost\": " EVA_PRId64 ", \"lost_work_hours\": %.4f, "
-      "\"replacements\": " EVA_PRId64 ", \"replace_p95_s_median\": %.2f, "
-      "\"goodput_min\": %.6f, \"goodput_median\": %.6f, \"fault_denied\": " EVA_PRId64,
-      sum.zone_outages, sum.correlated_failures, sum.maintenance_drains,
-      sum.instances_killed, sum.instances_drained, sum.tasks_evicted,
-      sum.tasks_lost, SecondsToHours(sum.lost_work_seconds),
-      sum.replacements_completed, p95.empty() ? 0.0 : Quantile(p95, 0.5),
-      *std::min_element(goodput.begin(), goodput.end()), Quantile(goodput, 0.5),
-      fault_denied);
-  json.AddCaseFields(name + "_faults", fields);
-}
-
-void EmitProviderRow(BenchJsonWriter& json, const std::string& name,
-                     const FederationResult& result, double wall) {
-  const std::int64_t events = TotalEvents(result);
-  char fields[640];
-  std::snprintf(
-      fields, sizeof(fields),
-      "\"wall_seconds\": %.6f, \"events\": " EVA_PRId64 ", \"events_per_sec\": %.1f, "
-      "\"granted\": " EVA_PRId64 ", \"denied\": " EVA_PRId64
-      ", \"preempted\": " EVA_PRId64 ", "
-      "\"barriers\": " EVA_PRId64 ", \"round_groups\": " EVA_PRId64
-      ", \"serial_share\": %.4f, "
-      "\"setup_wall_s\": %.6f, \"advance_wall_s\": %.6f, "
-      "\"round_wall_s\": %.6f",
-      wall, events, wall > 0.0 ? static_cast<double>(events) / wall : 0.0,
-      result.provider.TotalGranted(), result.provider.TotalDenied(),
-      result.provider.TotalPreempted(), result.stats.barriers,
-      result.stats.round_groups, result.stats.SerialShare(),
-      result.stats.setup_wall_s, result.stats.advance_wall_s,
-      result.stats.round_wall_s);
-  // Driver-level stats again through the shared registry protocol, so the
-  // row's "telemetry" object matches what any registry consumer would see.
-  TelemetryRegistry registry;
-  PublishFederationStats(result.stats, &registry);
-  json.AddCaseFields(name + "_provider",
-                     std::string(fields) + ", \"telemetry\": " + registry.ToJson());
+// Runs the federation with its fleet export published into `fleet`;
+// returns the wall time.
+double TimedRun(const std::vector<FederationTenant>& tenants, FederationOptions options,
+                TelemetryRegistry& fleet, FederationResult& result) {
+  options.simulator.observability.registry = &fleet;
+  const auto start = std::chrono::steady_clock::now();
+  result = RunFederation(tenants, options);
+  return WallSince(start);
 }
 
 void RunScenario(BenchJsonWriter& json, const std::string& name,
-                 const std::vector<FederationTenant>& tenants,
+                 const std::vector<FederationTenant>& tenants, int jobs_per_tenant,
                  const FederationOptions& options) {
   std::printf("\n--- scenario: %s ---\n", name.c_str());
-  const auto start = std::chrono::steady_clock::now();
-  const FederationResult result = RunFederation(tenants, options);
-  const double wall = WallSince(start);
+  TelemetryRegistry fleet;
+  FederationResult result;
+  const double wall = TimedRun(tenants, options, fleet, result);
   PrintFederationReport(result);
 
-  const std::int64_t events = TotalEvents(result);
+  const std::int64_t events = fleet.CounterValue("sim.events_processed");
   std::printf("wall %.3fs, " EVA_PRId64 " events (%.0f events/sec, all tenants)\n",
               wall, events, wall > 0.0 ? static_cast<double>(events) / wall : 0.0);
 
-  char fields[512];
   for (std::size_t i = 0;
        i < result.tenants.size() && i < kMaxTenantJsonRows; ++i) {
     const FederationResult::Tenant& tenant = result.tenants[i];
-    const SimulationMetrics& m = tenant.metrics;
-    std::snprintf(fields, sizeof(fields),
-                  "\"jobs\": " EVA_PRId64 ", \"cost\": %.4f, \"spot_cost\": %.4f, "
-                  "\"avg_jct_hours\": %.6f, \"denied\": " EVA_PRId64
-                  ", \"preemptions\": " EVA_PRId64 ", "
-                  "\"spot_instances\": " EVA_PRId64 ", \"makespan_s\": %.1f",
-                  m.jobs_submitted, m.total_cost, m.spot_cost, m.avg_jct_hours,
-                  m.acquisitions_denied, m.spot_preemptions,
-                  m.spot_instances_launched, m.makespan_s);
-    json.AddCaseFields(name + "_" + tenant.name, fields);
+    json.AddRow(name + "_" + tenant.name, BenchFields(), Telemetry(tenant.metrics));
   }
-  EmitTenantAggregates(json, name, result);
-  EmitFaultRow(json, name, result);
-  EmitProviderRow(json, name, result, wall);
+  json.AddRow(name + "_provider",
+              BenchFields()
+                  .Add("tenants", static_cast<double>(tenants.size()))
+                  .Add("jobs_per_tenant", jobs_per_tenant)
+                  .Add("wall_seconds", wall)
+                  .Add("setup_wall_s", result.stats.setup_wall_s)
+                  .Add("advance_wall_s", result.stats.advance_wall_s)
+                  .Add("round_wall_s", result.stats.round_wall_s),
+              fleet);
 }
 
 // One tenant-scaling point: derive the shards (timed — the setup-wall
 // satellite), then run the identical federation once serially and once on
-// the hardware pool. The two runs must agree bit-for-bit; the wall-clock
-// ratio is the thread-scaling headline.
-void RunSweepPoint(BenchJsonWriter& json, const Trace& base, int num_tenants,
+// the hardware pool. The wall-clock ratio is the thread-scaling headline.
+// Returns false when the two runs disagree: every tenant's registry export
+// must match bit for bit.
+bool RunSweepPoint(BenchJsonWriter& json, const Trace& base, int num_tenants,
                    int jobs_per_tenant) {
   const std::string name = "fed" + std::to_string(num_tenants);
   std::printf("\n--- sweep: %d tenants x %d jobs ---\n", num_tenants,
@@ -242,34 +132,32 @@ void RunSweepPoint(BenchJsonWriter& json, const Trace& base, int num_tenants,
   options.stagger_rounds = true;  // Spread barriers; shrinks the serial residue.
 
   options.num_threads = 1;
-  auto start = std::chrono::steady_clock::now();
-  const FederationResult serial = RunFederation(tenants, options);
-  const double wall_serial = WallSince(start);
+  TelemetryRegistry fleet_serial;
+  FederationResult serial;
+  const double wall_serial = TimedRun(tenants, options, fleet_serial, serial);
 
   const int hardware_threads = ThreadPool::DefaultThreads();
   options.num_threads = hardware_threads;
-  start = std::chrono::steady_clock::now();
-  const FederationResult result = RunFederation(tenants, options);
-  const double wall_pooled = WallSince(start);
+  TelemetryRegistry fleet;
+  FederationResult result;
+  const double wall_pooled = TimedRun(tenants, options, fleet, result);
 
   // The determinism contract, enforced on every bench run: pool size must
   // not leak into any simulated quantity.
-  double divergence = 0.0;
+  bool identical = true;
   for (std::size_t i = 0; i < result.tenants.size(); ++i) {
-    divergence +=
-        std::abs(result.tenants[i].metrics.total_cost -
-                 serial.tenants[i].metrics.total_cost) +
-        std::abs(static_cast<double>(result.tenants[i].metrics.events_processed -
-                                     serial.tenants[i].metrics.events_processed));
-  }
-  if (divergence != 0.0) {
-    std::printf("ERROR: pool-size divergence detected (%.6f) — "
-                "determinism contract broken\n", divergence);
+    if (Telemetry(result.tenants[i].metrics).ToJson() !=
+        Telemetry(serial.tenants[i].metrics).ToJson()) {
+      std::printf("ERROR: %s diverges between 1 and %d threads — determinism "
+                  "contract broken\n",
+                  result.tenants[i].name.c_str(), hardware_threads);
+      identical = false;
+    }
   }
 
   PrintFederationReport(result);
 
-  const std::int64_t events = TotalEvents(result);
+  const std::int64_t events = fleet.CounterValue("sim.events_processed");
   const double eps_serial =
       wall_serial > 0.0 ? static_cast<double>(events) / wall_serial : 0.0;
   const double eps_pooled =
@@ -280,22 +168,16 @@ void RunSweepPoint(BenchJsonWriter& json, const Trace& base, int num_tenants,
               shard_wall, wall_serial, eps_serial, hardware_threads,
               wall_pooled, eps_pooled, scaling, result.stats.SerialShare());
 
-  char fields[640];
-  std::snprintf(
-      fields, sizeof(fields),
-      "\"tenants\": %d, \"jobs_per_tenant\": %d, \"events\": " EVA_PRId64 ", "
-      "\"events_per_sec\": %.1f, \"events_per_sec_1thread\": %.1f, "
-      "\"wall_seconds\": %.6f, \"wall_seconds_1thread\": %.6f, "
-      "\"thread_scaling_x\": %.4f, \"num_threads\": %d, "
-      "\"serial_share\": %.4f, \"shard_setup_s\": %.6f, "
-      "\"barriers\": " EVA_PRId64 ", \"round_groups\": " EVA_PRId64 ", "
-      "\"bit_identical\": %s",
-      num_tenants, jobs_per_tenant, events, eps_pooled,
-      eps_serial, wall_pooled, wall_serial, scaling, hardware_threads,
-      result.stats.SerialShare(), shard_wall, result.stats.barriers,
-      result.stats.round_groups, divergence == 0.0 ? "true" : "false");
-  json.AddCaseFields(name + "_scale", fields);
-  EmitTenantAggregates(json, name, result);
+  json.AddRow(name + "_scale",
+              BenchFields()
+                  .Add("tenants", num_tenants)
+                  .Add("jobs_per_tenant", jobs_per_tenant)
+                  .Add("wall_seconds", wall_pooled)
+                  .Add("wall_seconds_1thread", wall_serial)
+                  .Add("num_threads", hardware_threads)
+                  .Add("shard_setup_s", shard_wall),
+              fleet);
+  return identical;
 }
 
 }  // namespace
@@ -314,19 +196,19 @@ int main() {
   FederationOptions open;
   open.provider.enabled = true;  // Pass-through: unlimited, on-demand only.
   open.simulator.seed = 5;
-  RunScenario(json, "open", tenants, open);
+  RunScenario(json, "open", tenants, jobs_per_tenant, open);
 
   FederationOptions capped = open;
   // Pools sized to bind under three contending tenants: the shards together
   // sustain a few dozen concurrent CPU jobs and a handful of GPU jobs.
   capped.provider.family_capacity = {4, 10, 6};
-  RunScenario(json, "capped", tenants, capped);
+  RunScenario(json, "capped", tenants, jobs_per_tenant, capped);
 
   FederationOptions capped_spot = capped;
   capped_spot.provider.spot.enabled = true;
   capped_spot.provider.spot.seed = 4242;
   capped_spot.provider.spot.spike_probability = 0.06;
-  RunScenario(json, "capped-spot", tenants, capped_spot);
+  RunScenario(json, "capped-spot", tenants, jobs_per_tenant, capped_spot);
 
   // Everything at once: finite pools, the spot market, and the fault model
   // — zone outages clamp the shared pools, correlated bursts and drains
@@ -334,21 +216,22 @@ int main() {
   FederationOptions faults = capped_spot;
   faults.simulator.faults.enabled = true;
   faults.simulator.faults.seed = 97;
-  RunScenario(json, "faults", tenants, faults);
+  RunScenario(json, "faults", tenants, jobs_per_tenant, faults);
 
   // Tenant-scaling sweep through the sharded parallel driver. Job counts
   // shrink with the fleet so each point stays a comparable total volume;
   // the 1000-tenant point only runs at full EVA_BENCH_SCALE.
   const Trace base = MakeBaseTrace();
-  RunSweepPoint(json, base, /*num_tenants=*/10, ScaledJobCount(100));
-  RunSweepPoint(json, base, /*num_tenants=*/100, ScaledJobCount(40));
-  RunSweepPoint(json, base, /*num_tenants=*/500, ScaledJobCount(12));
+  bool identical = RunSweepPoint(json, base, /*num_tenants=*/10, ScaledJobCount(100));
+  identical &= RunSweepPoint(json, base, /*num_tenants=*/100, ScaledJobCount(40));
+  identical &= RunSweepPoint(json, base, /*num_tenants=*/500, ScaledJobCount(12));
   if (ScaledJobCount(100) >= 100) {
-    RunSweepPoint(json, base, /*num_tenants=*/1000, ScaledJobCount(8));
+    identical &= RunSweepPoint(json, base, /*num_tenants=*/1000, ScaledJobCount(8));
   }
 
+  bool written = true;
   if (const char* path = BenchJsonWriter::OutputPath()) {
-    return json.WriteTo(path, "federation") ? 0 : 1;
+    written = json.WriteTo(path, "federation");
   }
-  return 0;
+  return identical && written ? 0 : 1;
 }

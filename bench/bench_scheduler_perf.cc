@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/format.h"
 #include "src/core/full_reconfig.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/trace.h"
@@ -148,9 +149,6 @@ SimulationMetrics RunEngineCase(BenchJsonWriter& json, const std::string& name,
   const std::uint64_t allocs_before = AllocationCount();
   SimulationMetrics metrics;
   double wall = 0.0;
-  int reused = 0;
-  int miss_table = 0;
-  int miss_context = 0;
   for (int run = 0; run < runs; ++run) {
     SchedulerBundle bundle = MakeScheduler(kind, interference, eva_options);
     const InstanceCatalog catalog = InstanceCatalog::AwsDefault();
@@ -162,11 +160,6 @@ SimulationMetrics RunEngineCase(BenchJsonWriter& json, const std::string& name,
     if (run == 0 || run_wall < wall) {
       metrics = run_metrics;
       wall = run_wall;
-      if (bundle.eva != nullptr) {
-        reused = bundle.eva->stats().rounds_reused;
-        miss_table = bundle.eva->stats().reuse_miss_table;
-        miss_context = bundle.eva->stats().reuse_miss_context;
-      }
     }
   }
   const double sched_wall = metrics.scheduler_wall_seconds;
@@ -183,16 +176,19 @@ SimulationMetrics RunEngineCase(BenchJsonWriter& json, const std::string& name,
               name.c_str(), wall, metrics.events_processed, events_per_sec,
               metrics.scheduling_rounds, metrics.rounds_coalesced, sched_wall,
               sched_us_per_round, peak_rss_mb);
-  json.AddCaseWithScheduler(name, static_cast<int>(metrics.jobs_submitted), wall,
-                            metrics.events_processed, events_per_sec,
-                            metrics.scheduling_rounds, metrics.rounds_coalesced, sched_wall,
-                            sched_us_per_round, peak_rss_mb, allocs, counters,
-                            TelemetryJson(metrics));
+  json.AddRow(name,
+              BenchFields()
+                  .Add("jobs", static_cast<double>(trace.jobs.size()))
+                  .Add("wall_seconds", wall)
+                  .Add("sched_wall_seconds", sched_wall)
+                  .Add("peak_rss_mb", peak_rss_mb)
+                  .Add("allocs", static_cast<double>(allocs)),
+              Telemetry(metrics));
   if (kind == SchedulerKind::kEva) {
     std::printf("  (rounds reused: %d/" EVA_PRId64 ", coalesced: " EVA_PRId64
                 ", table misses: %d, context misses: %d)\n",
-                reused, metrics.scheduling_rounds, metrics.rounds_coalesced,
-                miss_table, miss_context);
+                counters.rounds_reused, metrics.scheduling_rounds, metrics.rounds_coalesced,
+                counters.reuse_miss_table, counters.reuse_miss_context);
     if (counters.packs_incremental > 0 || counters.packs_escalated > 0) {
       std::printf(
           "  (packs: %d incremental / %d full / %d escalated; reconciliations: %d, "
@@ -208,11 +204,13 @@ SimulationMetrics RunEngineCase(BenchJsonWriter& json, const std::string& name,
   return metrics;
 }
 
-// Approximation-quality row: relative cost/JCT deltas of the incremental
-// fast path vs the exact replay of the same trace (the CI quality gate
-// checks these against the documented envelope: cost <= 10%, JCT <= 5%).
+// Approximation-quality row: names the exact and incremental replays of
+// one trace, whose telemetry the CI quality gate compares against the
+// documented envelope (cost <= 10%, JCT <= 5%, no lost jobs).
 void ReportQuality(BenchJsonWriter& json, const std::string& name,
-                   const SimulationMetrics& exact, const SimulationMetrics& incremental) {
+                   const std::string& exact_row, const SimulationMetrics& exact,
+                   const std::string& incremental_row,
+                   const SimulationMetrics& incremental) {
   const double cost_delta =
       exact.total_cost > 0.0 ? (incremental.total_cost - exact.total_cost) / exact.total_cost
                              : 0.0;
@@ -225,10 +223,7 @@ void ReportQuality(BenchJsonWriter& json, const std::string& name,
               name.c_str(), cost_delta * 100.0, exact.total_cost, incremental.total_cost,
               jct_delta * 100.0, exact.avg_jct_hours, incremental.avg_jct_hours,
               incremental.jobs_completed, exact.jobs_completed);
-  json.AddQualityCase(name, static_cast<int>(exact.jobs_submitted), exact.total_cost,
-                      incremental.total_cost, cost_delta, exact.avg_jct_hours,
-                      incremental.avg_jct_hours, jct_delta, exact.jobs_completed,
-                      incremental.jobs_completed);
+  json.AddRow(name, BenchFields().Add("exact", exact_row).Add("incremental", incremental_row));
 }
 
 // Engine throughput scale sweep: the 2,000-job Alibaba-like trace (both
@@ -258,9 +253,9 @@ bool RunEngineThroughputCases() {
               "Events/sec", "Rounds", "Coal", "Sched(s)", "us/round", "RSS(MB)");
   RunEngineCase(json, std::string("alibaba2000_") + SchedulerKindName(SchedulerKind::kNoPacking),
                 base, SchedulerKind::kNoPacking, interference, /*runs=*/3);
+  const std::string eva_2k = std::string("alibaba2000_") + SchedulerKindName(SchedulerKind::kEva);
   const SimulationMetrics exact_2k =
-      RunEngineCase(json, std::string("alibaba2000_") + SchedulerKindName(SchedulerKind::kEva),
-                    base, SchedulerKind::kEva, interference, /*runs=*/3);
+      RunEngineCase(json, eva_2k, base, SchedulerKind::kEva, interference, /*runs=*/3);
 
   // The 2k trace sits below incremental_auto_min_jobs (it is the
   // golden-pinned evaluation trace, kept bit-identical), so the 2k quality
@@ -269,17 +264,16 @@ bool RunEngineThroughputCases() {
   force_incremental.incremental_packing = EvaOptions::IncrementalPacking::kOn;
   EvaOptions force_exact;
   force_exact.incremental_packing = EvaOptions::IncrementalPacking::kOff;
-  const SimulationMetrics inc_2k = RunEngineCase(
-      json, std::string("alibaba2000_") + SchedulerKindName(SchedulerKind::kEva) + "-inc",
-      base, SchedulerKind::kEva, interference, /*runs=*/3, force_incremental);
-  ReportQuality(json, "quality_alibaba2000", exact_2k, inc_2k);
+  const SimulationMetrics inc_2k = RunEngineCase(json, eva_2k + "-inc", base, SchedulerKind::kEva,
+                                                 interference, /*runs=*/3, force_incremental);
+  ReportQuality(json, "quality_alibaba2000", eva_2k, exact_2k, eva_2k + "-inc", inc_2k);
 
   // Fault-injection row: the same 2k trace with the deterministic fault
   // model on (zone outages, correlated bursts, maintenance drains). Faults
   // destroy in-flight work and churn placements but must never lose a job —
   // killed tasks re-run — so jobs_completed must match the fault-free
-  // replay; goodput degrades boundedly. The CI gate (fault_* rows in
-  // check_bench_regression.py) checks both.
+  // replay (the row names it as "fault_free"); goodput degrades boundedly.
+  // The CI gate (fault_* rows in check_bench_regression.py) checks both.
   {
     SchedulerBundle bundle = MakeScheduler(SchedulerKind::kEva, interference, {});
     const InstanceCatalog catalog = InstanceCatalog::AwsDefault();
@@ -300,22 +294,12 @@ bool RunEngineThroughputCases() {
         faulted.jobs_completed, exact_2k.jobs_completed, f.goodput_ratio,
         SecondsToHours(f.lost_work_seconds), f.tasks_lost, f.instances_killed,
         f.instances_drained, f.zone_outages, f.replacement_latency_p95_s);
-    char fields[640];
-    std::snprintf(
-        fields, sizeof(fields),
-        "\"jobs\": " EVA_PRId64 ", \"jobs_completed\": " EVA_PRId64 ", "
-        "\"jobs_completed_fault_free\": " EVA_PRId64 ", \"goodput_ratio\": %.6f, "
-        "\"tasks_lost\": " EVA_PRId64 ", \"lost_work_hours\": %.4f, "
-        "\"instances_killed\": " EVA_PRId64 ", \"instances_drained\": " EVA_PRId64 ", "
-        "\"zone_outages\": " EVA_PRId64 ", \"correlated_failures\": " EVA_PRId64 ", "
-        "\"maintenance_drains\": " EVA_PRId64 ", \"replacements\": " EVA_PRId64 ", "
-        "\"replace_p95_s\": %.2f, \"wall_seconds\": %.6f",
-        faulted.jobs_submitted, faulted.jobs_completed, exact_2k.jobs_completed,
-        f.goodput_ratio, f.tasks_lost, SecondsToHours(f.lost_work_seconds),
-        f.instances_killed, f.instances_drained, f.zone_outages,
-        f.correlated_failures, f.maintenance_drains, f.replacements_completed,
-        f.replacement_latency_p95_s, wall);
-    json.AddCaseFields("fault_alibaba2000_Eva", fields);
+    json.AddRow("fault_alibaba2000_Eva",
+                BenchFields()
+                    .Add("jobs", static_cast<double>(base.jobs.size()))
+                    .Add("wall_seconds", wall)
+                    .Add("fault_free", eva_2k),
+                Telemetry(faulted));
   }
 
   // Traced replay, opted into with EVA_TRACE_JSON=<path>: the 2k Eva case
@@ -325,7 +309,7 @@ bool RunEngineThroughputCases() {
   // artifact. The trace is stamped purely in virtual time, so the written
   // bytes are a deterministic function of the trace+seed (the obs test
   // suite holds that invariant across pool sizes; here we record the
-  // artifact and the overhead row the CI trend tracks).
+  // artifact and the walls behind the overhead the CI trend tracks).
   bool trace_artifact_ok = true;
   if (const char* trace_path = std::getenv("EVA_TRACE_JSON")) {
     const InstanceCatalog catalog = InstanceCatalog::AwsDefault();
@@ -345,7 +329,6 @@ bool RunEngineThroughputCases() {
     FlightRecorder flight;
     TelemetryRegistry registry;
     SimulatorOptions traced_options;
-    traced_options.observability.enabled = true;
     traced_options.observability.trace = &recorder;
     traced_options.observability.flight_recorder = &flight;
     traced_options.observability.registry = &registry;
@@ -365,17 +348,19 @@ bool RunEngineThroughputCases() {
                 overhead * 100.0, eps_off, eps_on, recorder.TotalEmitted(),
                 recorder.TotalRetained(), flight.rounds_recorded(),
                 trace_artifact_ok ? "" : " [trace write FAILED]", trace_path);
-    char trace_fields[512];
-    std::snprintf(
-        trace_fields, sizeof(trace_fields),
-        "\"events\": " EVA_PRId64 ", \"wall_seconds_off\": %.6f, "
-        "\"wall_seconds_on\": %.6f, \"events_per_sec_off\": %.1f, "
-        "\"events_per_sec_on\": %.1f, \"trace_overhead\": %.6f, "
-        "\"spans_emitted\": " EVA_PRIu64 ", \"spans_retained\": " EVA_PRIu64 ", "
-        "\"rounds_digested\": " EVA_PRId64,
-        on_metrics.events_processed, wall_off, wall_on, eps_off, eps_on, overhead,
-        recorder.TotalEmitted(), recorder.TotalRetained(), flight.rounds_recorded());
-    json.AddCaseFields("trace_alibaba2000_Eva", trace_fields);
+    // The traced run's own registry (its per-round series included) plus the
+    // recorders' span and digest counts, deterministic like the rest.
+    registry.SetCounter("trace.spans_emitted",
+                        static_cast<std::int64_t>(recorder.TotalEmitted()));
+    registry.SetCounter("trace.spans_retained",
+                        static_cast<std::int64_t>(recorder.TotalRetained()));
+    registry.SetCounter("trace.rounds_digested", flight.rounds_recorded());
+    json.AddRow("trace_alibaba2000_Eva",
+                BenchFields()
+                    .Add("jobs", static_cast<double>(base.jobs.size()))
+                    .Add("wall_seconds_off", wall_off)
+                    .Add("wall_seconds_on", wall_on),
+                registry);
   }
 
   // Scaled points: proportional-rate superposition of the 2,000-job mix —
@@ -409,7 +394,8 @@ bool RunEngineThroughputCases() {
     const SimulationMetrics exact = RunEngineCase(json, name + "-exact", scaled,
                                                   SchedulerKind::kEva, interference,
                                                   point.runs, force_exact);
-    ReportQuality(json, "quality_alibaba" + std::to_string(scale.target_jobs), exact, fast);
+    ReportQuality(json, "quality_alibaba" + std::to_string(scale.target_jobs), name + "-exact",
+                  exact, name, fast);
   }
 
   // The million-job tier, opt-in via EVA_BENCH_SCALE >= 1000: a raw

@@ -13,8 +13,8 @@
 #include <sys/resource.h>
 #endif
 
-#include "src/common/format.h"
 #include "src/common/rng.h"
+#include "src/obs/json_util.h"
 #include "src/obs/publish.h"
 #include "src/obs/registry.h"
 #include "src/sched/types.h"
@@ -79,118 +79,63 @@ inline void PrintBenchHeader(const char* title, const char* paper_ref) {
   std::printf("================================================================\n");
 }
 
-// Renders a run's end-of-run telemetry (counters/gauges/series from the
-// registry protocol every engine publishes through) as a JSON object
-// fragment, for embedding in a bench row under "telemetry".
-inline std::string TelemetryJson(const SimulationMetrics& metrics) {
+// A run's registry export (sim.*, scheduler.*, faults.*): what a bench row
+// embeds under "telemetry".
+inline TelemetryRegistry Telemetry(const SimulationMetrics& metrics) {
   TelemetryRegistry registry;
   PublishSimulationMetrics(metrics, &registry);
-  return registry.ToJson();
+  return registry;
 }
 
+// A bench row's fields besides its name and telemetry, in insertion order:
+// the run's shape (`jobs`, or `tenants` and `jobs_per_tenant`), host
+// measurements (walls, allocs, RSS, thread count) and the names of rows it
+// is judged against. Simulated values never go here.
+class BenchFields {
+ public:
+  BenchFields& Add(const char* key, double value) {
+    AppendKey(key);
+    obs_internal::AppendJsonNumber(&json_, value);
+    return *this;
+  }
+  BenchFields& Add(const char* key, const std::string& value) {
+    AppendKey(key);
+    obs_internal::AppendJsonString(&json_, value);
+    return *this;
+  }
+  const std::string& json() const { return json_; }
+
+ private:
+  void AppendKey(const char* key) {
+    json_ += ", ";
+    obs_internal::AppendJsonString(&json_, key);
+    json_ += ": ";
+  }
+  std::string json_;
+};
+
 // Machine-readable results, opted into with EVA_BENCH_JSON=<path>: each
-// harness that supports it writes {"bench": ..., "cases": [...]} with
-// wall-time and throughput per case, so the repo's perf trajectory can be
-// recorded across commits (see BENCH_scheduler_perf.json). Every row
-// carries "schema_version" (kBenchSchemaVersion); bump it when a row's
-// layout changes incompatibly — check_bench_regression.py validates it.
+// harness that supports it writes {"bench": ..., "cases": [...]}, one row
+// per case, so the repo's perf trajectory can be recorded across commits
+// (see BENCH_scheduler_perf.json). A row is its name, its BenchFields and
+// the run's registry export under "telemetry". Every row carries
+// "schema_version" (kSchemaVersion); bump it when the row layout changes
+// incompatibly — check_bench_regression.py validates it.
 class BenchJsonWriter {
  public:
-  static constexpr int kSchemaVersion = 2;
+  static constexpr int kSchemaVersion = 3;
 
   // The EVA_BENCH_JSON destination, or nullptr when JSON output is off.
   static const char* OutputPath() { return std::getenv("EVA_BENCH_JSON"); }
 
-  void AddCase(const std::string& name, int jobs, double wall_seconds,
-               std::int64_t events, double events_per_sec) {
-    char buffer[512];
-    std::snprintf(buffer, sizeof(buffer),
-                  "    {\"name\": \"%s\", \"schema_version\": %d, \"jobs\": %d, "
-                  "\"wall_seconds\": %.6f, \"events\": " EVA_PRId64
-                  ", \"events_per_sec\": %.1f}",
-                  name.c_str(), kSchemaVersion, jobs, wall_seconds, events,
-                  events_per_sec);
-    cases_.emplace_back(buffer);
-  }
-
-  // Engine case plus the scheduler decision-path breakdown: rounds (split
-  // into invoked vs. coalesced), total wall time inside the scheduler, the
-  // per-round decision latency, process peak RSS / allocation count at the
-  // end of the case (the scale sweep's memory-behavior tracking), and the
-  // incremental fast path's pack/fallback/reconciliation counters (all zero
-  // on exact-mode cases).
-  // `telemetry`, when non-empty, is a ready-made JSON object (typically
-  // TelemetryJson(metrics)) embedded under a "telemetry" key, giving the
-  // row the full registry view alongside the flat gate columns.
-  void AddCaseWithScheduler(const std::string& name, int jobs, double wall_seconds,
-                            std::int64_t events, double events_per_sec,
-                            std::int64_t rounds, std::int64_t rounds_coalesced,
-                            double sched_wall_seconds, double sched_us_per_round,
-                            double peak_rss_mb, std::uint64_t allocs,
-                            const SchedulerCounters& counters,
-                            const std::string& telemetry = std::string()) {
-    char buffer[1024];
-    std::snprintf(buffer, sizeof(buffer),
-                  "    {\"name\": \"%s\", \"schema_version\": %d, \"jobs\": %d, "
-                  "\"wall_seconds\": %.6f, "
-                  "\"events\": " EVA_PRId64 ", \"events_per_sec\": %.1f, "
-                  "\"rounds\": " EVA_PRId64 ", "
-                  "\"rounds_coalesced\": " EVA_PRId64 ", "
-                  "\"sched_wall_seconds\": %.6f, \"sched_us_per_round\": %.2f, "
-                  "\"peak_rss_mb\": %.1f, \"allocs\": " EVA_PRIu64 ", "
-                  "\"packs_full\": %d, \"packs_incremental\": %d, "
-                  "\"packs_escalated\": %d, \"reconciliations\": %d, "
-                  "\"escalations\": %d, \"fallback_incomplete_delta\": %d, "
-                  "\"fallback_oversized_delta\": %d, \"fallback_no_previous\": %d, "
-                  "\"max_divergence_cost\": %.6f, \"max_divergence_edits\": %d, "
-                  "\"max_kept_staleness\": %d",
-                  name.c_str(), kSchemaVersion, jobs, wall_seconds, events,
-                  events_per_sec, rounds, rounds_coalesced, sched_wall_seconds,
-                  sched_us_per_round, peak_rss_mb, allocs, counters.packs_full,
-                  counters.packs_incremental, counters.packs_escalated,
-                  counters.reconciliations, counters.escalations,
-                  counters.fallback_incomplete_delta, counters.fallback_oversized_delta,
-                  counters.fallback_no_previous, counters.max_divergence_cost,
-                  counters.max_divergence_edits, counters.max_kept_staleness);
-    std::string line(buffer);
+  // An empty `telemetry` adds no "telemetry" key.
+  void AddRow(const std::string& name, const BenchFields& fields,
+              const TelemetryRegistry& telemetry = TelemetryRegistry()) {
+    std::string line = "    {\"name\": ";
+    obs_internal::AppendJsonString(&line, name);
+    line += ", \"schema_version\": " + std::to_string(kSchemaVersion) + fields.json();
     if (!telemetry.empty()) {
-      line += ", \"telemetry\": " + telemetry;
-    }
-    line += "}";
-    cases_.push_back(std::move(line));
-  }
-
-  // Approximation-quality row: the same trace replayed in exact and
-  // incremental mode, with the relative cost/JCT deltas the CI quality gate
-  // checks (cost_delta may be negative when the approximation is cheaper).
-  void AddQualityCase(const std::string& name, int jobs, double cost_exact,
-                      double cost_incremental, double cost_delta, double jct_exact_hours,
-                      double jct_incremental_hours, double jct_delta,
-                      std::int64_t jobs_completed_exact,
-                      std::int64_t jobs_completed_incremental) {
-    char buffer[640];
-    std::snprintf(buffer, sizeof(buffer),
-                  "    {\"name\": \"%s\", \"schema_version\": %d, \"jobs\": %d, "
-                  "\"cost_exact\": %.4f, "
-                  "\"cost_incremental\": %.4f, \"cost_delta\": %.6f, "
-                  "\"jct_exact_hours\": %.6f, \"jct_incremental_hours\": %.6f, "
-                  "\"jct_delta\": %.6f, \"jobs_completed_exact\": " EVA_PRId64
-                  ", \"jobs_completed_incremental\": " EVA_PRId64 "}",
-                  name.c_str(), kSchemaVersion, jobs, cost_exact, cost_incremental,
-                  cost_delta, jct_exact_hours, jct_incremental_hours, jct_delta,
-                  jobs_completed_exact, jobs_completed_incremental);
-    cases_.emplace_back(buffer);
-  }
-
-  // Free-form case: `fields` is a ready-made JSON fragment appended after
-  // the name (e.g. "\"cost\": 12.5, \"denied\": 3") — the escape hatch for
-  // harnesses whose metrics do not fit the fixed schemas above
-  // (bench_federation's per-tenant and provider-level rows).
-  void AddCaseFields(const std::string& name, const std::string& fields) {
-    std::string line = "    {\"name\": \"" + name + "\", \"schema_version\": " +
-                       std::to_string(kSchemaVersion);
-    if (!fields.empty()) {
-      line += ", " + fields;
+      line += ", \"telemetry\": " + telemetry.ToJson();
     }
     line += "}";
     cases_.push_back(std::move(line));

@@ -69,21 +69,7 @@ void EvaScheduler::BindWorkloadScale(std::size_t expected_jobs) {
   }
 }
 
-void EvaScheduler::ExportCounters(SchedulerCounters& out) const {
-  out.packs_full += counters_.packs_full;
-  out.packs_incremental += counters_.packs_incremental;
-  out.packs_escalated += counters_.packs_escalated;
-  out.reconciliations += counters_.reconciliations;
-  out.escalations += counters_.escalations;
-  out.fallback_incomplete_delta += counters_.fallback_incomplete_delta;
-  out.fallback_oversized_delta += counters_.fallback_oversized_delta;
-  out.fallback_no_previous += counters_.fallback_no_previous;
-  out.last_divergence_cost = counters_.last_divergence_cost;
-  out.max_divergence_cost = std::max(out.max_divergence_cost, counters_.max_divergence_cost);
-  out.last_divergence_edits = counters_.last_divergence_edits;
-  out.max_divergence_edits = std::max(out.max_divergence_edits, counters_.max_divergence_edits);
-  out.max_kept_staleness = std::max(out.max_kept_staleness, counters_.max_kept_staleness);
-}
+void EvaScheduler::ExportCounters(SchedulerCounters& out) const { out = stats_; }
 
 std::string EvaScheduler::name() const {
   if (!options_.name.empty()) {
@@ -236,14 +222,14 @@ void EvaScheduler::Reconcile(const SchedulingContext& context,
   const double divergence = std::abs(cost_incremental - cost_exact) /
                             std::max(std::abs(cost_exact), 1e-9);
   const int edits = ConfigEditDistance(work_full_, reconcile_exact_);
-  ++counters_.reconciliations;
-  counters_.last_divergence_cost = divergence;
-  counters_.max_divergence_cost = std::max(counters_.max_divergence_cost, divergence);
-  counters_.last_divergence_edits = edits;
-  counters_.max_divergence_edits = std::max(counters_.max_divergence_edits, edits);
+  ++stats_.reconciliations;
+  stats_.last_divergence_cost = divergence;
+  stats_.max_divergence_cost = std::max(stats_.max_divergence_cost, divergence);
+  stats_.last_divergence_edits = edits;
+  stats_.max_divergence_edits = std::max(stats_.max_divergence_edits, edits);
   const int before = escalation_.escalations();
   escalation_.RecordDivergence(divergence);
-  counters_.escalations += escalation_.escalations() - before;
+  stats_.escalations += escalation_.escalations() - before;
   if (trace_) {
     trace_.recorder->Instant(trace_.track, "eva.reconcile", context.now_s,
                              "divergence", divergence, "edits",
@@ -266,7 +252,7 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
                                         const PackingOptions& packing) {
   if (!incremental_active_) {
     FullReconfigurationInto(context, *calculator_, packing, work_full_);
-    ++counters_.packs_full;
+    ++stats_.packs_full;
     if (trace_) {
       trace_.recorder->Instant(trace_.track, "eva.pack.full", context.now_s);
     }
@@ -274,7 +260,7 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
   }
   if (escalation_.escalated()) {
     FullReconfigurationInto(context, *calculator_, packing, work_full_);
-    ++counters_.packs_escalated;
+    ++stats_.packs_escalated;
     escalation_.RecordPack(/*fell_back=*/false);
     NoteExactIncumbent();
     if (trace_) {
@@ -285,8 +271,8 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
   }
   if (!memo_.valid) {
     FullReconfigurationInto(context, *calculator_, packing, work_full_);
-    ++counters_.packs_full;
-    ++counters_.fallback_no_previous;
+    ++stats_.packs_full;
+    ++stats_.fallback_no_previous;
     escalation_.RecordPack(/*fell_back=*/true);
     NoteExactIncumbent();
     if (trace_) {
@@ -300,7 +286,7 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
   const IncrementalOutcome outcome = IncrementalReconfigurationInto(
       context, *calculator_, memo_.full, incremental, work_full_);
   if (outcome == IncrementalOutcome::kIncremental) {
-    ++counters_.packs_incremental;
+    ++stats_.packs_incremental;
     if (trace_) {
       trace_.recorder->Instant(trace_.track, "eva.pack.incremental",
                                context.now_s, "staleness",
@@ -309,11 +295,11 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
     {
       const int before = escalation_.escalations();
       escalation_.RecordPack(/*fell_back=*/false);
-      counters_.escalations += escalation_.escalations() - before;
+      stats_.escalations += escalation_.escalations() - before;
     }
     ++packs_since_reconcile_;
-    counters_.max_kept_staleness =
-        std::max(counters_.max_kept_staleness, packs_since_reconcile_);
+    stats_.max_kept_staleness =
+        std::max(stats_.max_kept_staleness, packs_since_reconcile_);
     if (reconcile_requested_ || (options_.reconcile_every_n_packs > 0 &&
                                  packs_since_reconcile_ >= options_.reconcile_every_n_packs)) {
       Reconcile(context, packing);
@@ -323,19 +309,19 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
   // The incremental path fell back — work_full_ already holds the exact
   // repack, so no reconciliation is owed; account for the reason and let
   // the fallback-rate EMA see it.
-  ++counters_.packs_full;
+  ++stats_.packs_full;
   double fallback_reason = 0.0;
   switch (outcome) {
     case IncrementalOutcome::kFullIncompleteDelta:
-      ++counters_.fallback_incomplete_delta;
+      ++stats_.fallback_incomplete_delta;
       fallback_reason = 0.0;
       break;
     case IncrementalOutcome::kFullNoPrevious:
-      ++counters_.fallback_no_previous;
+      ++stats_.fallback_no_previous;
       fallback_reason = 2.0;
       break;
     case IncrementalOutcome::kFullOversizedDelta:
-      ++counters_.fallback_oversized_delta;
+      ++stats_.fallback_oversized_delta;
       fallback_reason = 1.0;
       break;
     case IncrementalOutcome::kIncremental:
@@ -348,7 +334,7 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
   {
     const int before = escalation_.escalations();
     escalation_.RecordPack(/*fell_back=*/true);
-    counters_.escalations += escalation_.escalations() - before;
+    stats_.escalations += escalation_.escalations() - before;
   }
   NoteExactIncumbent();
 }

@@ -113,22 +113,10 @@ struct EvaOptions {
 
 class EvaScheduler : public Scheduler {
  public:
-  struct Stats {
-    int rounds = 0;
-    int full_adopted = 0;
-    int events_seen = 0;
-
-    // Decision-path accounting: rounds replayed from the memo and why the
-    // others were not. How their Full candidate was produced is counted in
-    // counters() (packs_full, packs_incremental, packs_escalated).
-    int rounds_reused = 0;
-    int reuse_miss_table = 0;    // Throughput table changed.
-    int reuse_miss_context = 0;  // Task set / placements / instances changed.
-
-    // Subset of rounds_reused absorbed via CoalesceQuiescentRounds — rounds
-    // for which the scheduler was never even invoked.
-    int rounds_coalesced = 0;
-  };
+  // The round memo's accounting (rounds, full_adopted, events_seen,
+  // rounds_reused and its misses, rounds_coalesced) and the incremental fast
+  // path's pack/fallback/reconciliation counters: one SchedulerCounters.
+  using Stats = SchedulerCounters;
 
   explicit EvaScheduler(EvaOptions options = {});
 
@@ -152,9 +140,8 @@ class EvaScheduler : public Scheduler {
   // resolved against the bound workload scale).
   bool incremental_active() const { return incremental_active_; }
 
-  const SchedulerCounters& counters() const { return counters_; }
-  const EscalationPolicy& escalation() const { return escalation_; }
   const Stats& stats() const { return stats_; }
+  const EscalationPolicy& escalation() const { return escalation_; }
   const ThroughputTable& throughput_table() const { return monitor_.table(); }
   const EventRateEstimator& event_estimator() const { return estimator_; }
 
@@ -194,7 +181,7 @@ class EvaScheduler : public Scheduler {
   EvaOptions options_;
   ThroughputMonitor monitor_;
   EventRateEstimator estimator_;
-  Stats stats_;
+  Stats stats_;  // Exported as is by ExportCounters.
 
   // --- Incremental fast-path control loop ------------------------------
   // kOn resolves at construction; kAuto at BindWorkloadScale. All state
@@ -204,7 +191,6 @@ class EvaScheduler : public Scheduler {
   // under batching.
   bool incremental_active_ = false;
   EscalationPolicy escalation_;
-  SchedulerCounters counters_;
   int packs_since_reconcile_ = 0;  // Packs with a possibly-inexact incumbent.
   bool reconcile_requested_ = false;
   ClusterConfig reconcile_exact_;  // Exact-repack buffer (capacity reused).

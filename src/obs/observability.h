@@ -1,9 +1,10 @@
 // Per-simulator observability switchboard.
 //
-// SimulatorOptions carries one of these. Everything defaults to off/null:
-// the simulator's hot paths guard each sink with a single pointer test, so
-// a run with the default options does zero observability work — goldens
-// stay bit-exact and the allocs/event gate is unaffected.
+// SimulatorOptions carries one of these. A sink is on if and only if its
+// pointer is set, and every one defaults to null: the simulator's hot paths
+// guard each sink with a single pointer test, so a run with the default
+// options does zero observability work — goldens stay bit-exact and the
+// allocs/job gate is unaffected.
 //
 // All sinks are caller-owned, outliving the simulator: the same
 // TraceRecorder is typically shared by every tenant of a federation (each
@@ -22,9 +23,6 @@
 namespace eva {
 
 struct ObservabilityOptions {
-  // Master switch; when false the sinks below are ignored entirely.
-  bool enabled = false;
-
   // Span sink. The simulator registers its own track at construction
   // (named `track_name`, or "tenant<id>" when empty) and hands a binding
   // to its scheduler and solver.

@@ -1,10 +1,10 @@
-// Bridges from the legacy stat structs to the telemetry registry.
+// A run's registry export, assembled from the stat structs' field lists
+// (obs/stat_schema.h).
 //
-// SchedulerCounters, FaultStats, FederationStats and SimulationMetrics each
-// predate the registry and are still the in-memory working form; these
-// publishers project them onto dot-namespaced registry names so every bench
-// driver emits them under one uniform, sorted schema instead of hand-rolled
-// JSON fragments. Publishing is idempotent (SetCounter/SetGauge, not Inc).
+// SimulationMetrics nests SchedulerCounters and FaultStats, and a
+// federation adds FederationStats; these helpers publish and merge the
+// nesting, so every bench driver emits one uniform, sorted schema.
+// Publishing is idempotent (SetCounter/SetGauge, not Inc).
 
 #ifndef SRC_OBS_PUBLISH_H_
 #define SRC_OBS_PUBLISH_H_
@@ -13,26 +13,23 @@
 
 namespace eva {
 
-struct SchedulerCounters;
-struct FaultStats;
-struct FederationStats;
 struct SimulationMetrics;
+struct FederationResult;
 
-// "scheduler.*": pack mix, fallbacks, reconciliation divergence.
-void PublishSchedulerCounters(const SchedulerCounters& counters,
-                              TelemetryRegistry* registry);
-
-// "faults.*": injected faults, kills/drains, lost work, goodput.
-void PublishFaultStats(const FaultStats& faults, TelemetryRegistry* registry);
-
-// "federation.*": barriers, conflict grouping, phase wall times.
-void PublishFederationStats(const FederationStats& stats,
-                            TelemetryRegistry* registry);
-
-// "sim.*" plus the nested scheduler.* and faults.* groups — the full
+// "sim.*" plus the nested "scheduler.*" and "faults.*" groups — the full
 // per-run projection the simulator publishes at Finish.
 void PublishSimulationMetrics(const SimulationMetrics& metrics,
                               TelemetryRegistry* registry);
+
+// Folds one tenant's metrics, nested groups included, into `into` by each
+// field's merge rule.
+void MergeSimulationMetrics(const SimulationMetrics& from, SimulationMetrics& into);
+
+// The fleet's export: "federation.*" (the driver counts and the serial
+// share) plus the tenants' merged metrics, less the kLast fields, whose
+// merged value is only the last tenant's.
+void PublishFederationResult(const FederationResult& result,
+                             TelemetryRegistry* registry);
 
 }  // namespace eva
 

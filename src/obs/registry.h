@@ -3,9 +3,9 @@
 // schema.
 //
 // This is the one funnel every subsystem's stats flow through on their way
-// into bench JSON — `SchedulerCounters`, `FaultStats`, `FederationStats`
-// (see obs/publish.h) and the per-round market/queue series the simulator
-// samples. Names are dot-namespaced ("scheduler.packs_full",
+// into bench JSON — `SchedulerCounters`, `FaultStats`, `SimulationMetrics`,
+// `FederationStats` (their field lists, obs/stat_schema.h) and the
+// per-round market/queue series the simulator samples. Names are dot-namespaced ("scheduler.packs_full",
 // "faults.tasks_lost", "ts.queue_depth") and JSON export is sorted by name,
 // so the schema a bench row emits is stable and diffable.
 //

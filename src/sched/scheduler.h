@@ -92,9 +92,10 @@ class Scheduler {
   // schedulers).
   virtual void BindTrace(const TraceBinding& binding) { (void)binding; }
 
-  // Adds this run's decision-path counters into `out` (+=, so federated
-  // callers can aggregate across tenants). Called after the last round.
-  // Default: export nothing.
+  // Writes this run's decision-path counters into `out` (a fresh struct;
+  // MergeStats aggregates across tenants). Called after the last round, and
+  // per round when the registry samples divergence. Default: export
+  // nothing.
   virtual void ExportCounters(SchedulerCounters& out) const { (void)out; }
 };
 

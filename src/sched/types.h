@@ -20,6 +20,7 @@
 #include "src/common/resources.h"
 #include "src/common/soa_table.h"
 #include "src/common/units.h"
+#include "src/obs/stat_schema.h"
 #include "src/workload/workload.h"
 
 namespace eva {
@@ -180,39 +181,56 @@ struct ClusterConfig {
 
 // Decision-path counters a scheduler exports at the end of a run (see
 // Scheduler::ExportCounters); the simulator copies them into
-// SimulationMetrics and the perf benches serialize them per case. All zero
-// for schedulers that don't override the export — only Eva's incremental
-// fast path populates them today.
+// SimulationMetrics, which publishes them as "scheduler.*". All zero for
+// schedulers that don't override the export — only Eva populates them
+// today: its round memo's accounting, and the incremental fast path's
+// pack/fallback/reconciliation accounting. One field list (see
+// obs/stat_schema.h).
+#define EVA_SCHEDULER_COUNTER_FIELDS(X)                                        \
+  /* How each round's Full candidate was produced: exact Algorithm 1 packs,    \
+     delta-touched incremental repacks, and exact packs forced by the          \
+     escalation policy. */                                                     \
+  X(int, packs_full, 0, kCounter, kSum)                                        \
+  X(int, packs_incremental, 0, kCounter, kSum)                                 \
+  X(int, packs_escalated, 0, kCounter, kSum)                                   \
+  /* Bounded-divergence reconciliation: exact repacks run alongside the        \
+     incremental incumbent, measured and adopted. */                           \
+  X(int, reconciliations, 0, kCounter, kSum)                                   \
+  /* Escalation episodes (the policy latching to exact mode), as opposed to    \
+     packs_escalated which counts the packs run while latched. */              \
+  X(int, escalations, 0, kCounter, kSum)                                       \
+  /* Why incremental packs fell back to a full repack. */                      \
+  X(int, fallback_incomplete_delta, 0, kCounter, kSum)                         \
+  X(int, fallback_oversized_delta, 0, kCounter, kSum)                          \
+  X(int, fallback_no_previous, 0, kCounter, kSum)                              \
+  /* Divergence measured at reconciliations: relative hourly-cost delta of     \
+     the incremental incumbent vs the exact repack, and the config edit        \
+     distance between them (see ConfigEditDistance). */                        \
+  X(double, last_divergence_cost, 0.0, kGauge, kLast)                          \
+  X(double, max_divergence_cost, 0.0, kGauge, kMax)                            \
+  X(int, last_divergence_edits, 0, kCounter, kLast)                            \
+  X(int, max_divergence_edits, 0, kCounter, kMax)                              \
+  /* Largest number of packs any configuration ran unreconciled — the          \
+     realized staleness bound (<= the reconciliation cadence). */              \
+  X(int, max_kept_staleness, 0, kCounter, kMax)                                \
+  /* Round memo: rounds decided, rounds adopting Full, and job arrivals plus   \
+     completions seen. */                                                      \
+  X(int, rounds, 0, kCounter, kSum)                                            \
+  X(int, full_adopted, 0, kCounter, kSum)                                      \
+  X(int, events_seen, 0, kCounter, kSum)                                       \
+  /* Rounds replayed from the memo, and why the others were not: the           \
+     throughput table changed, or the task set, placements or instances        \
+     did. */                                                                   \
+  X(int, rounds_reused, 0, kCounter, kSum)                                     \
+  X(int, reuse_miss_table, 0, kCounter, kSum)                                  \
+  X(int, reuse_miss_context, 0, kCounter, kSum)                                \
+  /* Subset of rounds_reused absorbed via CoalesceQuiescentRounds — rounds     \
+     for which the scheduler was never even invoked. */                        \
+  X(int, rounds_coalesced, 0, kCounter, kSum)
+
 struct SchedulerCounters {
-  // How each round's Full candidate was produced.
-  int packs_full = 0;         // Exact Algorithm 1 packs.
-  int packs_incremental = 0;  // Delta-touched incremental repacks.
-  int packs_escalated = 0;    // Exact packs forced by the escalation policy.
-
-  // Bounded-divergence reconciliation: exact repacks run alongside the
-  // incremental incumbent, measured and adopted.
-  int reconciliations = 0;
-
-  // Escalation episodes (the policy latching to exact mode), as opposed to
-  // packs_escalated which counts the packs run while latched.
-  int escalations = 0;
-
-  // Why incremental packs fell back to a full repack.
-  int fallback_incomplete_delta = 0;
-  int fallback_oversized_delta = 0;
-  int fallback_no_previous = 0;
-
-  // Divergence measured at reconciliations: relative hourly-cost delta of
-  // the incremental incumbent vs the exact repack, and the config edit
-  // distance between them (see ConfigEditDistance).
-  double last_divergence_cost = 0.0;
-  double max_divergence_cost = 0.0;
-  int last_divergence_edits = 0;
-  int max_divergence_edits = 0;
-
-  // Largest number of packs any configuration ran unreconciled — the
-  // realized staleness bound (<= the reconciliation cadence).
-  int max_kept_staleness = 0;
+  EVA_SCHEDULER_COUNTER_FIELDS(EVA_STAT_MEMBER)
+  EVA_STAT_SCHEMA(SchedulerCounters, "scheduler", EVA_SCHEDULER_COUNTER_FIELDS)
 };
 
 }  // namespace eva

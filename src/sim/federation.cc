@@ -86,16 +86,16 @@ FederationResult RunFederation(const std::vector<FederationTenant>& tenants,
   // loop so the track's order never depends on the pool. FlightRecorder
   // and TelemetryRegistry are single-writer: tenants record into their own
   // slot of the caller's flight-recorder vector, and the shared registry
-  // pointer is withheld from tenants — the driver publishes the
-  // federation-level stats into it after the run instead.
+  // pointer is withheld from tenants — the driver publishes the fleet's
+  // export into it after the run instead.
   const ObservabilityOptions& obs = options.simulator.observability;
   TraceRecorder* fed_trace = nullptr;
   std::uint32_t fed_track = 0;
-  if (obs.enabled && obs.trace != nullptr) {
+  if (obs.trace != nullptr) {
     fed_trace = obs.trace;
     fed_track = fed_trace->RegisterTrack("federation");
   }
-  if (obs.enabled && options.flight_recorders != nullptr) {
+  if (options.flight_recorders != nullptr) {
     options.flight_recorders->resize(tenants.size());
   }
 
@@ -116,12 +116,9 @@ FederationResult RunFederation(const std::vector<FederationTenant>& tenants,
     sim_options.shared_provider = &provider;
     sim_options.tenant_id = static_cast<int>(i);
     sim_options.seed = options.simulator.seed + i;
-    if (obs.enabled) {
-      sim_options.observability.registry = nullptr;
-      sim_options.observability.flight_recorder =
-          options.flight_recorders != nullptr ? &(*options.flight_recorders)[i]
-                                              : nullptr;
-    }
+    sim_options.observability.registry = nullptr;
+    sim_options.observability.flight_recorder =
+        options.flight_recorders != nullptr ? &(*options.flight_recorders)[i] : nullptr;
     if (options.stagger_rounds) {
       const auto slot = static_cast<int>(
           Mix64(options.stagger_seed ^ static_cast<std::uint64_t>(i)) %
@@ -310,9 +307,7 @@ FederationResult RunFederation(const std::vector<FederationTenant>& tenants,
     result.tenants.push_back(std::move(tenant));
   }
   result.provider = provider.FinalizeMetrics(result.horizon_s);
-  if (obs.enabled) {
-    PublishFederationStats(stats, obs.registry);
-  }
+  PublishFederationResult(result, obs.registry);
   return result;
 }
 
@@ -369,15 +364,7 @@ void PrintFederationReport(const FederationResult& result,
   std::vector<double> replace_p95s;
   for (const FederationResult::Tenant& tenant : result.tenants) {
     const FaultStats& f = tenant.metrics.faults;
-    fault_sum.zone_outages += f.zone_outages;
-    fault_sum.correlated_failures += f.correlated_failures;
-    fault_sum.maintenance_drains += f.maintenance_drains;
-    fault_sum.instances_killed += f.instances_killed;
-    fault_sum.instances_drained += f.instances_drained;
-    fault_sum.tasks_evicted += f.tasks_evicted;
-    fault_sum.tasks_lost += f.tasks_lost;
-    fault_sum.lost_work_seconds += f.lost_work_seconds;
-    fault_sum.replacements_completed += f.replacements_completed;
+    MergeStats(f, fault_sum);
     goodputs.push_back(f.goodput_ratio);
     if (f.replacements_completed > 0) {
       replace_p95s.push_back(f.replacement_latency_p95_s);

@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "src/cloud/provider.h"
+#include "src/obs/stat_schema.h"
 #include "src/sim/experiment.h"
 #include "src/sim/simulator.h"
 #include "src/workload/trace_gen.h"
@@ -94,26 +95,34 @@ struct FederationOptions {
   // `simulator.observability.flight_recorder` pointer cannot serve N
   // concurrent tenants — supply a vector instead and tenant i records into
   // slot i. Same single-writer story for the registry: the driver nulls the
-  // per-tenant registry pointer and publishes federation-level aggregates
-  // into `simulator.observability.registry` itself after the run. The
-  // TraceRecorder *is* shared (per-track rings), each tenant on its own
-  // track plus a "federation" track for barrier spans.
+  // per-tenant registry pointer and publishes the fleet's export
+  // (PublishFederationResult) into `simulator.observability.registry` itself
+  // after the run. The TraceRecorder *is* shared (per-track rings), each
+  // tenant on its own track plus a "federation" track for barrier spans.
   std::vector<FlightRecorder>* flight_recorders = nullptr;
 };
 
 // Where the federation's wall-clock time went, plus the counters behind the
-// serial-phase share the bench reports.
+// serial-phase share the bench reports. The counts are one field list (see
+// obs/stat_schema.h), published as "federation.*"; the walls are
+// host-measured and stay out of the registry.
+#define EVA_FEDERATION_STAT_FIELDS(X)                                          \
+  X(std::int64_t, barriers, 0, kCounter, kSum) /* Two-phase iterations run. */ \
+  /* Tenant-barrier pairs dispatched in the parallel phase (tenants with an    \
+     event before the barrier; idle tenants are skipped). */                   \
+  X(std::int64_t, advance_participants, 0, kCounter, kSum)                     \
+  /* Tenant-barrier pairs with barrier-time events. */                         \
+  X(std::int64_t, round_participants, 0, kCounter, kSum)                       \
+  /* Conflict groups dispatched (singletons included). */                      \
+  X(std::int64_t, round_groups, 0, kCounter, kSum)                             \
+  /* Sum over barriers of the largest group's participant count — the          \
+     critical path of the grouped phase (groups run concurrently; members of   \
+     one group run serially). */                                               \
+  X(std::int64_t, largest_group_participants, 0, kCounter, kSum)
+
 struct FederationStats {
-  std::int64_t barriers = 0;           // Two-phase iterations executed.
-  // Tenant-barrier pairs dispatched in the parallel phase (tenants with an
-  // event before the barrier; idle tenants are skipped).
-  std::int64_t advance_participants = 0;
-  std::int64_t round_participants = 0; // Tenant-barrier pairs with barrier-time events.
-  std::int64_t round_groups = 0;       // Conflict groups dispatched (singletons included).
-  // Sum over barriers of the largest group's participant count — the
-  // critical path of the grouped phase (groups run concurrently; members
-  // of one group run serially).
-  std::int64_t largest_group_participants = 0;
+  EVA_FEDERATION_STAT_FIELDS(EVA_STAT_MEMBER)
+  EVA_STAT_SCHEMA(FederationStats, "federation", EVA_FEDERATION_STAT_FIELDS)
 
   double setup_wall_s = 0.0;    // Scheduler + simulator construction, Start().
   double advance_wall_s = 0.0;  // Parallel AdvanceUntil phase.

@@ -91,18 +91,15 @@ class Simulator::Impl {
     // Let scale-dependent scheduler defaults (Eva's auto incremental-
     // packing mode) resolve against the workload size before any round.
     scheduler_->BindWorkloadScale(trace_.jobs.size());
-    if (options_.observability.enabled) {
-      const ObservabilityOptions& obs = options_.observability;
-      flight_ = obs.flight_recorder;
-      registry_ = obs.registry;
-      if (obs.trace != nullptr) {
-        obs_trace_ = obs.trace;
-        track_ = obs_trace_->RegisterTrack(
-            !obs.track_name.empty()
-                ? obs.track_name
-                : "tenant" + std::to_string(options_.tenant_id));
-        scheduler_->BindTrace(TraceBinding{obs_trace_, track_});
-      }
+    const ObservabilityOptions& obs = options_.observability;
+    flight_ = obs.flight_recorder;
+    registry_ = obs.registry;
+    if (obs.trace != nullptr) {
+      obs_trace_ = obs.trace;
+      track_ = obs_trace_->RegisterTrack(
+          !obs.track_name.empty() ? obs.track_name
+                                  : "tenant" + std::to_string(options_.tenant_id));
+      scheduler_->BindTrace(TraceBinding{obs_trace_, track_});
     }
     if (provider_ != nullptr) {
       // Spot instances are priced off the market's trace integral (and the

@@ -246,7 +246,7 @@ TEST_F(EvaSchedulerTest, IncrementalPackingCoversAllTasksAndValidates) {
     seen.insert(instance.tasks.begin(), instance.tasks.end());
   }
   EXPECT_EQ(seen.size(), 6u);
-  EXPECT_GE(scheduler.counters().packs_incremental, 1);
+  EXPECT_GE(scheduler.stats().packs_incremental, 1);
 }
 
 TEST_F(EvaSchedulerTest, BindWorkloadScaleResolvesAutoMode) {
@@ -292,8 +292,8 @@ TEST_F(EvaSchedulerTest, OnDemandReconciliationAdoptsExactAndCounts) {
   context_.delta.complete = true;
   context_.delta.jobs_arrived = {1, 2, 3, 4, 5};
   (void)scheduler.Schedule(context_);  // Pack 1: no previous -> exact.
-  EXPECT_EQ(scheduler.counters().fallback_no_previous, 1);
-  EXPECT_EQ(scheduler.counters().reconciliations, 0);
+  EXPECT_EQ(scheduler.stats().fallback_no_previous, 1);
+  EXPECT_EQ(scheduler.stats().reconciliations, 0);
 
   AddTask(gcn, 6);
   context_.Finalize();
@@ -302,9 +302,9 @@ TEST_F(EvaSchedulerTest, OnDemandReconciliationAdoptsExactAndCounts) {
   context_.delta.jobs_arrived = {6};
   context_.now_s = 300.0;
   (void)scheduler.Schedule(context_);  // Pack 2: incremental, cadence off.
-  EXPECT_EQ(scheduler.counters().packs_incremental, 1);
-  EXPECT_EQ(scheduler.counters().reconciliations, 0);
-  EXPECT_EQ(scheduler.counters().max_kept_staleness, 1);
+  EXPECT_EQ(scheduler.stats().packs_incremental, 1);
+  EXPECT_EQ(scheduler.stats().reconciliations, 0);
+  EXPECT_EQ(scheduler.stats().max_kept_staleness, 1);
 
   scheduler.RequestReconciliation();
   AddTask(vit, 7);
@@ -314,8 +314,8 @@ TEST_F(EvaSchedulerTest, OnDemandReconciliationAdoptsExactAndCounts) {
   context_.delta.jobs_arrived = {7};
   context_.now_s = 600.0;
   const ClusterConfig config = scheduler.Schedule(context_);  // Pack 3: reconciled.
-  EXPECT_EQ(scheduler.counters().packs_incremental, 2);
-  EXPECT_EQ(scheduler.counters().reconciliations, 1);
+  EXPECT_EQ(scheduler.stats().packs_incremental, 2);
+  EXPECT_EQ(scheduler.stats().reconciliations, 1);
   EXPECT_FALSE(config.Validate(context_).has_value());
 
   // The adopted configuration is the exact repack of the full context: a

@@ -188,8 +188,8 @@ TEST(IncrementalPackingEndToEndTest, StaysWithinDocumentedBoundOnAlibaba2000) {
   // the counters exported through the simulator agree with the scheduler.
   EXPECT_GT(counters.reconciliations, 0);
   EXPECT_LE(counters.max_kept_staleness, options.reconcile_every_n_packs);
-  EXPECT_EQ(counters.packs_incremental, bundle.eva->counters().packs_incremental);
-  EXPECT_EQ(counters.packs_full, bundle.eva->counters().packs_full);
+  EXPECT_EQ(counters.packs_incremental, bundle.eva->stats().packs_incremental);
+  EXPECT_EQ(counters.packs_full, bundle.eva->stats().packs_full);
   EXPECT_EQ(counters.fallback_incomplete_delta, 0);  // The engine tracks deltas.
 
   // Nothing was lost to the approximation...

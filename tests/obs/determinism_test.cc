@@ -49,7 +49,6 @@ ObservedRun RunObserved(const Trace& trace, FlightRecorder* flight) {
   TraceRecorder recorder;
   TelemetryRegistry registry;
   SimulatorOptions options;
-  options.observability.enabled = true;
   options.observability.trace = &recorder;
   options.observability.flight_recorder = flight;
   options.observability.registry = &registry;
@@ -140,7 +139,6 @@ TEST(ObsFederationDeterminismTest, TraceBytesIdenticalAcrossDriverPoolSizes) {
     options.provider.spot.spike_probability = 0.15;
     options.provider.spot.seed = 4242;
     options.simulator.seed = 5;
-    options.simulator.observability.enabled = true;
     options.simulator.observability.trace = &recorder;
     options.simulator.observability.registry = &registry;
     options.flight_recorders = &flights;

@@ -40,7 +40,6 @@ SimulationMetrics RunCase(const Trace& trace, const SimulatorOptions& options) {
 // instead of just "the final metrics differ".
 SimulationMetrics RunCaseRecorded(const Trace& trace, SimulatorOptions options,
                                   FlightRecorder* flight) {
-  options.observability.enabled = true;
   options.observability.flight_recorder = flight;
   return RunCase(trace, options);
 }

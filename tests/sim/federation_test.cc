@@ -98,7 +98,6 @@ TEST(FederationTest, DeterministicAcrossRunsAndThreadPoolSizes) {
   FederationOptions options = ConstrainedSpotOptions();
   // Flight recorders ride along so a determinism regression reports the
   // first diverging round and field, not just mismatched final metrics.
-  options.simulator.observability.enabled = true;
   std::vector<FlightRecorder> flights_first, flights_second, flights_serial;
 
   options.num_threads = 4;
