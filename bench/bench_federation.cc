@@ -4,7 +4,8 @@
 //    Alibaba-like trace) provisioning from one shared cloud provider:
 //
 //      * open        — unlimited capacity, on-demand only (the idealized
-//                      cloud every earlier experiment assumed);
+//                      cloud every earlier experiment assumed); the
+//                      tenants run independently on the thread pool;
 //      * capped      — finite per-family pools, on-demand only: acquisition
 //                      denials throttle the tenants;
 //      * capped-spot — finite pools plus the spot tier: tenants mix
@@ -12,12 +13,15 @@
 //                      preemptions.
 //
 // 2. Tenant-scaling sweep — 10/100/500 tenants (1000 at full
-//    EVA_BENCH_SCALE) through the sharded parallel driver, each point run
-//    at 1 thread and at the hardware pool. Reports events/sec, the
-//    1→N-thread scaling ratio, the serialized share of the round phase,
-//    and the shard-derivation setup wall — the numbers behind the
-//    near-linear-scaling claim. Every tenant's registry export must match
-//    across both pool sizes; a mismatch fails the run (non-zero exit).
+//    EVA_BENCH_SCALE) on capped pools, each point run with num_threads 1
+//    and with the hardware thread count. A finite pool puts the federation
+//    on its barrier loop, which runs on the calling thread whatever
+//    num_threads says, so the two walls agree up to noise (thread scaling
+//    about 1x) and the pair checks that the setting leaks into no simulated
+//    value: every tenant's registry export must match across both runs,
+//    or the run fails (non-zero exit). Reports events/sec, both walls, the
+//    serial share of the round phase (1.0 whenever a barrier ran) and the
+//    shard-derivation setup wall.
 //
 // Reports per-tenant cost / spot share / JCT / denial / preemption counts
 // (capped; large fleets aggregate to min/median/p95/max rows) and the
@@ -102,11 +106,10 @@ void RunScenario(BenchJsonWriter& json, const std::string& name,
               fleet);
 }
 
-// One tenant-scaling point: derive the shards (timed — the setup-wall
-// satellite), then run the identical federation once serially and once on
-// the hardware pool. The wall-clock ratio is the thread-scaling headline.
-// Returns false when the two runs disagree: every tenant's registry export
-// must match bit for bit.
+// One tenant-scaling point: derive the shards (timed), then run the
+// identical federation with num_threads 1 and with the hardware thread
+// count. Returns false when the two runs disagree: every tenant's registry
+// export must match bit for bit.
 bool RunSweepPoint(BenchJsonWriter& json, const Trace& base, int num_tenants,
                    int jobs_per_tenant) {
   const std::string name = "fed" + std::to_string(num_tenants);
@@ -129,7 +132,7 @@ bool RunSweepPoint(BenchJsonWriter& json, const Trace& base, int num_tenants,
   options.provider.spot.seed = 4242;
   options.provider.spot.spike_probability = 0.06;
   options.simulator.seed = 5;
-  options.stagger_rounds = true;  // Spread barriers; shrinks the serial residue.
+  options.stagger_rounds = true;  // Each barrier carries a slice of the tenants.
 
   options.num_threads = 1;
   TelemetryRegistry fleet_serial;
@@ -142,7 +145,7 @@ bool RunSweepPoint(BenchJsonWriter& json, const Trace& base, int num_tenants,
   FederationResult result;
   const double wall_pooled = TimedRun(tenants, options, fleet, result);
 
-  // The determinism contract, enforced on every bench run: pool size must
+  // The determinism contract, enforced on every bench run: num_threads must
   // not leak into any simulated quantity.
   bool identical = true;
   for (std::size_t i = 0; i < result.tenants.size(); ++i) {
@@ -218,7 +221,7 @@ int main() {
   faults.simulator.faults.seed = 97;
   RunScenario(json, "faults", tenants, jobs_per_tenant, faults);
 
-  // Tenant-scaling sweep through the sharded parallel driver. Job counts
+  // Tenant-scaling sweep on capped pools (the barrier loop). Job counts
   // shrink with the fleet so each point stays a comparable total volume;
   // the 1000-tenant point only runs at full EVA_BENCH_SCALE.
   const Trace base = MakeBaseTrace();

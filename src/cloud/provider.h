@@ -23,14 +23,15 @@
 //
 //   * Multi-tenancy, sharded. Several simulators may share one provider
 //     (see sim/federation.h). Accounting is partitioned into one shard per
-//     instance family, each behind its own mutex, so tenants whose demand
-//     touches disjoint families never contend on a lock. The federation
-//     driver serializes (in tenant-index order) only the tenants that can
-//     touch the same *finite* family; everything else — grants on unlimited
-//     pools, releases, preemption records — is commutative per shard
-//     (integer tallies plus unordered record lists sorted deterministically
-//     at Finalize), so provider state and metrics are bit-reproducible
-//     across runs and thread-pool sizes.
+//     instance family, each behind its own mutex. Only a federation whose
+//     pools are all unlimited calls the provider concurrently: there every
+//     grant is unconditional and every mutation — grants, releases,
+//     preemption records — is commutative per shard (integer tallies plus
+//     unordered record lists sorted deterministically at Finalize). A
+//     federation with a finite pool calls it from one thread, in
+//     (virtual time, tenant index) order, so finite grants are serialized.
+//     Either way provider state and metrics are bit-reproducible across
+//     runs and thread-pool sizes.
 
 #ifndef SRC_CLOUD_PROVIDER_H_
 #define SRC_CLOUD_PROVIDER_H_
@@ -129,8 +130,8 @@ class CloudProvider {
 
   // Bit f set <=> family f's pool is finite. Only finite families can make
   // two tenants conflict (an unlimited pool grants unconditionally and its
-  // tallies are commutative), so this is the mask the federation driver
-  // intersects tenant footprints against when partitioning rounds.
+  // tallies are commutative), so the federation driver runs its tenants
+  // independently only when this mask is empty.
   std::uint32_t finite_family_mask() const { return finite_family_mask_; }
 
   // Family of a tiered-catalog index (pure; spot twins share their base
@@ -161,9 +162,9 @@ class CloudProvider {
   // --- Admission and accounting -----------------------------------------
   // Grants or denies one instance of `type_index` (tiered index). Grants on
   // a *finite* family must be serialized in tenant-index order by the
-  // caller (the federation's conflict-group phase; a single-tenant
-  // simulator is trivially serial). Grants on unlimited families are
-  // commutative and may run concurrently. During a zone outage window,
+  // caller (the federation's barrier loop; a single-tenant simulator is
+  // trivially serial). Grants on unlimited families are commutative and
+  // may run concurrently. During a zone outage window,
   // finite capacity is clamped by the down-zone fraction, so admission
   // denies into the outage even with nominal headroom.
   //
@@ -174,7 +175,7 @@ class CloudProvider {
   bool TryAcquire(int type_index, SimTime now, std::int64_t* slot = nullptr);
 
   // Returns the slot and records the uptime. Thread-safe; commutative, so
-  // concurrent releases from the federation's parallel phase are
+  // concurrent releases from an unlimited-pool federation's tenants are
   // deterministic in effect. `slot` is the ticket TryAcquire returned
   // (unlimited pools; O(1) free) or -1 (linear fallback — direct callers
   // without ticket plumbing).

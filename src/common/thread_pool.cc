@@ -10,8 +10,9 @@ int ThreadPool::DefaultThreads() {
 
 ThreadPool::ThreadPool(int num_threads) {
   const int n = num_threads > 0 ? num_threads : DefaultThreads();
-  workers_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
+  // The caller of ParallelFor is the n-th thread.
+  workers_.reserve(static_cast<std::size_t>(n - 1));
+  for (int i = 1; i < n; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -56,7 +57,7 @@ void ThreadPool::WorkerLoop() {
 }
 
 void ThreadPool::ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  if (n <= 1 || workers_.size() <= 1) {
+  if (n <= 1 || workers_.empty()) {
     for (std::size_t i = 0; i < n; ++i) {
       fn(i);
     }

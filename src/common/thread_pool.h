@@ -1,14 +1,17 @@
 // A small fixed-size thread pool whose one operation is ParallelFor: run
 // fn(i) for every i in [0, n) and return when all of them have finished.
 // The experiment runner fans schedulers out over it, and the federation
-// runs its tenants' advance and round phases on it.
+// runs its unlimited-pool tenants on it.
 //
-// One batch runs at a time. ParallelFor publishes the batch under the
-// mutex, wakes the workers, and then the workers and the calling thread
-// claim indices from one shared atomic cursor until it passes n; the call
-// returns once every worker that joined the batch has left it, so every
-// write fn made is visible to the caller. A batch of at most one index, or
-// a pool of one thread, runs inline on the caller.
+// A pool of n threads counts the caller as one of them: it spawns n - 1
+// workers, and the caller works through every batch it publishes, so no
+// batch runs on more than n threads. One batch runs at a time. ParallelFor
+// publishes the batch under the mutex, wakes the workers, and then the
+// workers and the calling thread claim indices from one shared atomic
+// cursor until it passes n; the call returns once every worker that joined
+// the batch has left it, so every write fn made is visible to the caller. A
+// batch of at most one index, or a pool of one thread (no workers), runs
+// inline on the caller.
 //
 // Contract: fn must tolerate concurrent calls on distinct indices, must
 // synchronize any other shared state itself, and must not throw (an escaped
@@ -32,7 +35,7 @@ namespace eva {
 
 class ThreadPool {
  public:
-  // num_threads <= 0 selects DefaultThreads().
+  // num_threads <= 0 selects DefaultThreads(). The caller is one of them.
   explicit ThreadPool(int num_threads = 0);
 
   // Joins all workers.
@@ -41,7 +44,8 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int num_threads() const { return static_cast<int>(workers_.size()); }
+  // Threads a batch runs on: the workers plus the caller.
+  int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
 
   // Hardware concurrency, at least 1.
   static int DefaultThreads();

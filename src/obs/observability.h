@@ -34,14 +34,6 @@ struct ObservabilityOptions {
   // Counter/gauge/series sink; published at Finish and sampled per round.
   TelemetryRegistry* registry = nullptr;
 
-  // Also emit one instant span per engine event (arrivals, launches,
-  // completions...). Orders of magnitude more spans than round-level
-  // tracing; off by default even when tracing is on.
-  bool trace_engine_events = false;
-
-  // Virtual-time bucket width for registry time series.
-  double timeseries_bucket_s = 3600.0;
-
   std::string track_name;
 };
 

@@ -12,7 +12,7 @@
 // Concurrency: a registry is SINGLE-WRITER. Simulators run their event
 // loops serially, so a per-tenant registry needs no locks; the federation
 // driver does not hand one registry to many tenants — it publishes the
-// aggregate itself after the parallel phase. Time-series bucketing is in
+// aggregate itself after every tenant finished. Time-series bucketing is in
 // virtual time, so sampled series are deterministic across pool sizes.
 
 #ifndef SRC_OBS_REGISTRY_H_

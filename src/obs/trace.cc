@@ -23,8 +23,9 @@ void TraceRecorder::Push(std::uint32_t track, Phase phase, double start_s,
                          const char* arg0_name, double arg0,
                          const char* arg1_name, double arg1) {
   // No lock: each track has exactly one emitter at a time (a simulator's
-  // event loop is serial; the federation driver emits only between parallel
-  // phases), and the deque never moves existing Track objects.
+  // event loop is serial; the federation driver emits only from its
+  // single-threaded barrier loop), and the deque never moves existing
+  // Track objects.
   Track& t = tracks_[track];
   Span span;
   span.start_s = start_s;

@@ -1,7 +1,6 @@
 #include "src/sim/federation.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -28,6 +27,89 @@ std::uint64_t Mix64(std::uint64_t x) {
 
 double Seconds(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double>(d).count();
+}
+
+struct TenantRun {
+  SchedulerBundle bundle;
+  std::unique_ptr<Simulator> simulator;
+};
+
+// The barrier loop for federations with a finite pool, on the calling
+// thread. Each barrier is the earliest pending round anywhere: every tenant
+// first processes its non-round events below it, then the tenants with
+// events at the barrier run them in tenant-index order, so every grant
+// arbitrates in (virtual time, tenant index) order.
+void RunBarriers(std::vector<TenantRun>& runs, FederationStats& stats,
+                 TraceRecorder* trace, std::uint32_t track) {
+  const auto next_barrier = [&runs]() {
+    SimTime barrier = std::numeric_limits<SimTime>::infinity();
+    for (const TenantRun& run : runs) {
+      barrier = std::min(barrier, run.simulator->NextRoundTime());
+    }
+    return barrier;
+  };
+  const auto all_drained = [&runs]() {
+    for (const TenantRun& run : runs) {
+      if (!run.simulator->Drained()) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  while (true) {
+    SimTime barrier = next_barrier();
+
+    // Non-round events below the barrier. A tenant whose next event is at
+    // or after the barrier is skipped: AdvanceUntil would be a no-op.
+    const auto advance_start = std::chrono::steady_clock::now();
+    for (TenantRun& run : runs) {
+      if (run.simulator->NextEventTime() < barrier) {
+        ++stats.advance_participants;
+        run.simulator->AdvanceUntil(barrier);
+      }
+    }
+    stats.advance_wall_s += Seconds(std::chrono::steady_clock::now() - advance_start);
+
+    // A tenant may have re-triggered its round chain below the barrier (an
+    // arrival after a drained stretch). Rounds must only run at the
+    // *global* minimum, so restart the loop with the earlier barrier before
+    // touching any round.
+    const SimTime recomputed = next_barrier();
+    if (recomputed < barrier) {
+      continue;
+    }
+    barrier = recomputed;
+    if (barrier == std::numeric_limits<SimTime>::infinity()) {
+      // No rounds pending anywhere and every queue below a round is
+      // drained: the federation is finished.
+      if (all_drained()) {
+        break;
+      }
+      continue;
+    }
+
+    // Every remaining event at or before the barrier sits exactly on it
+    // (non-round events below were consumed; rounds below would have
+    // lowered `recomputed`). Its tenants run in index order, as one group.
+    const auto round_start = std::chrono::steady_clock::now();
+    std::int64_t participants = 0;
+    for (TenantRun& run : runs) {
+      if (run.simulator->NextEventTime() <= barrier) {
+        ++participants;
+        run.simulator->ProcessEventsThrough(barrier);
+      }
+    }
+    ++stats.barriers;
+    ++stats.round_groups;
+    stats.round_participants += participants;
+    stats.largest_group_participants += participants;
+    if (trace != nullptr) {
+      trace->Instant(track, "fed.barrier", barrier, "participants",
+                     static_cast<double>(participants));
+    }
+    stats.round_wall_s += Seconds(std::chrono::steady_clock::now() - round_start);
+  }
 }
 
 }  // namespace
@@ -82,8 +164,8 @@ FederationResult RunFederation(const std::vector<FederationTenant>& tenants,
 
   // Observability. One shared TraceRecorder serves every tenant (each
   // registers its own track at construction); the driver adds a
-  // "federation" track for barrier spans, emitted only from this serial
-  // loop so the track's order never depends on the pool. FlightRecorder
+  // "federation" track for barrier spans, emitted only by the barrier loop
+  // on the calling thread. FlightRecorder
   // and TelemetryRegistry are single-writer: tenants record into their own
   // slot of the caller's flight-recorder vector, and the shared registry
   // pointer is withheld from tenants — the driver publishes the fleet's
@@ -100,10 +182,6 @@ FederationResult RunFederation(const std::vector<FederationTenant>& tenants,
   }
 
   // One bundle + simulator per tenant, all provisioned from `provider`.
-  struct TenantRun {
-    SchedulerBundle bundle;
-    std::unique_ptr<Simulator> simulator;
-  };
   std::vector<TenantRun> runs;
   runs.reserve(tenants.size());
   const int stagger_slots = std::max(options.stagger_slots, 1);
@@ -135,166 +213,21 @@ FederationResult RunFederation(const std::vector<FederationTenant>& tenants,
   }
   stats.setup_wall_s = Seconds(std::chrono::steady_clock::now() - setup_start);
 
-  const int threads = options.num_threads > 0 ? options.num_threads
-                                              : ThreadPool::DefaultThreads();
-  ThreadPool pool(std::min<int>(threads, static_cast<int>(runs.size())));
-  constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
-  const std::uint32_t finite_mask = provider.finite_family_mask();
-
-  const auto next_barrier = [&runs]() {
-    SimTime barrier = std::numeric_limits<SimTime>::infinity();
-    for (const TenantRun& run : runs) {
-      barrier = std::min(barrier, run.simulator->NextRoundTime());
-    }
-    return barrier;
-  };
-  const auto all_drained = [&runs]() {
-    for (const TenantRun& run : runs) {
-      if (!run.simulator->Drained()) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  // Reused per-barrier scratch: `participants` holds the tenants dispatched
-  // in the current phase (parallel, then round).
-  std::vector<std::size_t> participants;
-  std::vector<std::uint32_t> masks;
-  std::vector<std::vector<std::size_t>> groups;
-
-  while (true) {
-    SimTime barrier = next_barrier();
-
-    // Parallel phase: every tenant with an event before the barrier burns
-    // through its non-round events below it. Every other tenant is skipped:
-    // its next event is at or after the barrier, so AdvanceUntil(barrier)
-    // would be a no-op, and an idle tenant costs one queue peek instead of
-    // one pool task. Per-tenant work is fully independent; the only shared
-    // state touched (provider releases/preemption tallies, quote snapshots)
-    // is commutative per family shard, so the barrier snapshot is the same
-    // for every pool size.
-    const auto advance_start = std::chrono::steady_clock::now();
-    participants.clear();
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      if (runs[i].simulator->NextEventTime() < barrier) {
-        participants.push_back(i);
-      }
-    }
-    stats.advance_participants += static_cast<std::int64_t>(participants.size());
-    pool.ParallelFor(participants.size(), [&](std::size_t k) {
-      runs[participants[k]].simulator->AdvanceUntil(barrier);
+  if (provider.finite_family_mask() == 0) {
+    // Unlimited pools: TryAcquire grants unconditionally and every shared
+    // tally is commutative, so no tenant's trajectory depends on another's.
+    // Each tenant runs to completion on its own, in any order, on any
+    // thread.
+    const auto start = std::chrono::steady_clock::now();
+    const int threads = options.num_threads > 0 ? options.num_threads
+                                                : ThreadPool::DefaultThreads();
+    ThreadPool pool(std::min<int>(threads, static_cast<int>(runs.size())));
+    pool.ParallelFor(runs.size(), [&runs](std::size_t i) {
+      runs[i].simulator->ProcessEventsThrough(std::numeric_limits<SimTime>::infinity());
     });
-    stats.advance_wall_s += Seconds(std::chrono::steady_clock::now() - advance_start);
-
-    // A tenant may have re-triggered its round chain below the barrier (an
-    // arrival after a drained stretch). Rounds must only run at the
-    // *global* minimum, so restart the loop with the earlier barrier before
-    // touching any round.
-    const SimTime recomputed = next_barrier();
-    if (recomputed < barrier) {
-      continue;
-    }
-    barrier = recomputed;
-    if (barrier == kInf) {
-      // No rounds pending anywhere and every queue below a round is
-      // drained: the federation is finished.
-      if (all_drained()) {
-        break;
-      }
-      continue;
-    }
-
-    const auto round_start = std::chrono::steady_clock::now();
-
-    // Participants: after the parallel phase, every remaining event at or
-    // before the barrier sits exactly on it (non-round events below were
-    // consumed; rounds below would have lowered `recomputed`).
-    participants.clear();
-    masks.clear();
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      if (runs[i].simulator->NextEventTime() <= barrier) {
-        participants.push_back(i);
-        // Only finite families can make two tenants conflict; grants on
-        // unlimited pools are unconditional and their tallies commutative.
-        masks.push_back(runs[i].simulator->ProviderFamilyFootprint(barrier) &
-                        finite_mask);
-      }
-    }
-
-    // Conflict partition: union the finite families each participant can
-    // touch, then bucket participants by their families' root. A tenant
-    // touching no finite family forms a singleton group. Group membership
-    // and order are pure functions of (participants, masks) — identical for
-    // every pool size — and members stay in ascending tenant order.
-    groups.clear();
-    std::array<int, kNumInstanceFamilies> root;
-    for (int f = 0; f < kNumInstanceFamilies; ++f) {
-      root[static_cast<std::size_t>(f)] = f;
-    }
-    const auto find = [&root](int f) {
-      while (root[static_cast<std::size_t>(f)] != f) {
-        f = root[static_cast<std::size_t>(f)] =
-            root[static_cast<std::size_t>(root[static_cast<std::size_t>(f)])];
-      }
-      return f;
-    };
-    for (const std::uint32_t mask : masks) {
-      int first = -1;
-      for (int f = 0; f < kNumInstanceFamilies; ++f) {
-        if ((mask >> f) & 1u) {
-          if (first < 0) {
-            first = f;
-          } else {
-            root[static_cast<std::size_t>(find(f))] = find(first);
-          }
-        }
-      }
-    }
-    std::array<int, kNumInstanceFamilies> group_of_family;
-    group_of_family.fill(-1);
-    for (std::size_t k = 0; k < participants.size(); ++k) {
-      const std::uint32_t mask = masks[k];
-      if (mask == 0) {
-        groups.emplace_back(1, participants[k]);
-        continue;
-      }
-      int f = 0;
-      while (((mask >> f) & 1u) == 0) {
-        ++f;
-      }
-      const auto r = static_cast<std::size_t>(find(f));
-      if (group_of_family[r] < 0) {
-        group_of_family[r] = static_cast<int>(groups.size());
-        groups.emplace_back();
-      }
-      groups[static_cast<std::size_t>(group_of_family[r])].push_back(participants[k]);
-    }
-
-    ++stats.barriers;
-    stats.round_participants += static_cast<std::int64_t>(participants.size());
-    stats.round_groups += static_cast<std::int64_t>(groups.size());
-    std::size_t largest = 0;
-    for (const auto& members : groups) {
-      largest = std::max(largest, members.size());
-    }
-    stats.largest_group_participants += static_cast<std::int64_t>(largest);
-    if (fed_trace != nullptr) {
-      fed_trace->Instant(fed_track, "fed.barrier", barrier, "participants",
-                         static_cast<double>(participants.size()), "groups",
-                         static_cast<double>(groups.size()));
-    }
-
-    // Grouped round phase: groups fan out on the pool (they touch disjoint
-    // finite shards, plus commutative unlimited/quote state); members of a
-    // group run serially in tenant-index order, so every contended grant
-    // arbitrates deterministically.
-    pool.ParallelFor(groups.size(), [&](std::size_t g) {
-      for (const std::size_t idx : groups[g]) {
-        runs[idx].simulator->ProcessEventsThrough(barrier);
-      }
-    });
-    stats.round_wall_s += Seconds(std::chrono::steady_clock::now() - round_start);
+    stats.advance_wall_s = Seconds(std::chrono::steady_clock::now() - start);
+  } else {
+    RunBarriers(runs, stats, fed_trace, fed_track);
   }
 
   result.tenants.reserve(tenants.size());

@@ -1,46 +1,39 @@
-// Multi-tenant federation driver: N tenant simulators contending for one
-// shared CloudProvider in lockstep virtual time.
+// Multi-tenant federation driver: N tenant simulators provisioning from one
+// shared CloudProvider.
 //
 // Each tenant is a full Simulator (own trace, own scheduler, own metrics)
-// constructed against the shared provider's catalog. The driver interleaves
-// them with a two-phase barrier protocol that is deterministic by
+// constructed against the shared provider's catalog. The provider's
+// finite-pool mask picks one of two regimes, both deterministic by
 // construction — bit-identical results across runs AND across thread-pool
 // sizes:
 //
-//   1. Parallel phase. Every tenant with an event before T, the earliest
-//      pending scheduling round across all tenants, processes its pending
-//      events up to (strictly before) T; the rest have nothing below T and
-//      are not dispatched at all. No events in this window acquire provider
-//      capacity (only scheduling rounds launch instances); the provider
-//      mutations that can occur — capacity releases and preemption
-//      tallies — are commutative per family shard, so the provider state at
-//      the barrier does not depend on interleaving.
+//   * No finite pool. TryAcquire grants unconditionally, and every shared
+//     provider mutation — grant and release tallies, preemption records,
+//     quote snapshots — is commutative, so no tenant's trajectory depends
+//     on another's. The tenants fan out over `num_threads` and each runs to
+//     completion on its own, with no barriers: every tenant's metrics equal
+//     those of a standalone run of its trace against a private provider.
 //
-//   2. Conflict-grouped round phase. Tenants with events exactly at T are
-//      partitioned by the provider family shards they can touch (the
-//      Simulator::ProviderFamilyFootprint contract, intersected with the
-//      provider's *finite* families — unlimited pools grant unconditionally
-//      and tally commutatively, so they cannot make two tenants conflict).
-//      Tenants sharing a finite shard land in one group; groups run
-//      concurrently on the pool, and within a group tenants run one at a
-//      time in tenant-index order. Every contended TryAcquire therefore
-//      arbitrates in deterministic (virtual time, tenant index) order,
-//      while non-contending tenants — the common case once capacity is
-//      partitioned or demand is family-disjoint — round in parallel.
-//
-// Both phases dispatch through ThreadPool::ParallelFor: one batch per
-// phase whose items the workers and the driver thread claim one at a time
-// from a shared cursor, run inline on the driver when there is one item or
-// one thread.
+//   * Any finite pool. A contended grant depends on who asked first, so
+//     the driver runs a barrier loop on the calling thread. Each barrier T
+//     is the earliest pending scheduling round across all tenants. Every
+//     tenant with an event before T first processes its non-round events
+//     up to (strictly before) T; tenants with nothing below T are skipped.
+//     Then the tenants with events exactly at T run them one at a time in
+//     tenant-index order. Scheduling rounds are the only events that
+//     acquire capacity, so every grant arbitrates in (virtual time, tenant
+//     index) order, and no thread pool is constructed.
 //
 // With staggered round offsets enabled, tenants' round phases are spread
-// deterministically across the scheduling period, so each barrier carries a
-// fraction of the tenants instead of all of them — the same trick real
-// clusters use to flatten controller load spikes.
+// deterministically across the scheduling period, so each barrier of a
+// finite-pool federation carries a fraction of the tenants instead of all
+// of them — the same trick real clusters use to flatten controller load
+// spikes.
 //
 // A tenant that drains its round chain and later re-triggers it (an arrival
-// after an idle stretch) can create a round earlier than T mid-phase; the
-// driver detects this and re-computes the barrier before any round runs.
+// after an idle stretch) can create a round earlier than T while advancing;
+// the driver detects this and re-computes the barrier before any round
+// runs.
 
 #ifndef SRC_SIM_FEDERATION_H_
 #define SRC_SIM_FEDERATION_H_
@@ -75,17 +68,17 @@ struct FederationOptions {
   // The shared provider every tenant provisions from.
   CloudProviderOptions provider;
 
-  // Worker threads for the parallel and grouped phases; <= 0 uses all
-  // hardware threads.
+  // Threads the tenants fan out over when no pool is finite, the calling
+  // thread included; <= 0 uses all hardware threads. Federations with a
+  // finite pool run on the calling thread alone.
   int num_threads = 0;
 
   // Deterministic round stagger (opt-in). Tenant i's first scheduling round
   // fires at slot(i) x (period / stagger_slots) with slot(i) =
   // hash(stagger_seed, i) % stagger_slots, instead of every tenant rounding
   // at t=0, 300, 600, ... in phase. Spreads barrier pressure: each barrier
-  // then carries ~1/stagger_slots of the tenants, shrinking both the
-  // serialized residue and the idle tail of the parallel phase. Offsets are
-  // a pure function of (stagger_seed, i) — same seed, same trajectory.
+  // then carries ~1/stagger_slots of the tenants. Offsets are a pure
+  // function of (stagger_seed, i) — same seed, same trajectory.
   bool stagger_rounds = false;
   int stagger_slots = 8;
   std::uint64_t stagger_seed = 0x57A66E12u;
@@ -102,22 +95,23 @@ struct FederationOptions {
   std::vector<FlightRecorder>* flight_recorders = nullptr;
 };
 
-// Where the federation's wall-clock time went, plus the counters behind the
-// serial-phase share the bench reports. The counts are one field list (see
-// obs/stat_schema.h), published as "federation.*"; the walls are
-// host-measured and stay out of the registry.
+// Where the federation's wall-clock time went, plus the barrier counters.
+// The counts are one field list (see obs/stat_schema.h), published as
+// "federation.*"; the walls are host-measured and stay out of the registry.
+// A federation without a finite pool runs no barrier: its counts are zero
+// and its whole fan-out counts as advance_wall_s.
 #define EVA_FEDERATION_STAT_FIELDS(X)                                          \
-  X(std::int64_t, barriers, 0, kCounter, kSum) /* Two-phase iterations run. */ \
-  /* Tenant-barrier pairs dispatched in the parallel phase (tenants with an    \
-     event before the barrier; idle tenants are skipped). */                   \
+  X(std::int64_t, barriers, 0, kCounter, kSum) /* Barrier iterations run. */   \
+  /* Tenant-barrier pairs advanced below the barrier (tenants with an event    \
+     before it; idle tenants are skipped). */                                  \
   X(std::int64_t, advance_participants, 0, kCounter, kSum)                     \
   /* Tenant-barrier pairs with barrier-time events. */                         \
   X(std::int64_t, round_participants, 0, kCounter, kSum)                       \
-  /* Conflict groups dispatched (singletons included). */                      \
+  /* Round groups run: one per barrier, whose participants run in              \
+     tenant-index order. */                                                    \
   X(std::int64_t, round_groups, 0, kCounter, kSum)                             \
-  /* Sum over barriers of the largest group's participant count — the          \
-     critical path of the grouped phase (groups run concurrently; members of   \
-     one group run serially). */                                               \
+  /* Sum over barriers of the largest group's participant count; with one      \
+     group per barrier, every participant. */                                  \
   X(std::int64_t, largest_group_participants, 0, kCounter, kSum)
 
 struct FederationStats {
@@ -125,12 +119,12 @@ struct FederationStats {
   EVA_STAT_SCHEMA(FederationStats, "federation", EVA_FEDERATION_STAT_FIELDS)
 
   double setup_wall_s = 0.0;    // Scheduler + simulator construction, Start().
-  double advance_wall_s = 0.0;  // Parallel AdvanceUntil phase.
-  double round_wall_s = 0.0;    // Conflict-grouped round phase.
+  double advance_wall_s = 0.0;  // Events below barriers, or the whole fan-out.
+  double round_wall_s = 0.0;    // Barrier-time rounds.
 
   // Fraction of round-phase tenant work that sits on the serialized
-  // critical path: 1.0 = every participant shares one group (the old
-  // fully-serial phase), 1/participants = perfect spread.
+  // critical path: 1.0 whenever a barrier ran (every participant shares
+  // its barrier's one group), 0 when none did.
   double SerialShare() const {
     return round_participants > 0
                ? static_cast<double>(largest_group_participants) /
@@ -158,7 +152,7 @@ struct FederationResult {
 // Runs every tenant to completion against one shared provider and returns
 // per-tenant metrics plus the provider-level tallies. The federation's pool
 // is the only one: each tenant's scheduler decides on the thread that runs
-// its round.
+// the tenant.
 FederationResult RunFederation(const std::vector<FederationTenant>& tenants,
                                const FederationOptions& options);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -23,6 +22,19 @@ namespace eva {
 
 namespace {
 
+// Physical mode's observation noise: the standard deviation of the
+// perturbation applied to every reported task throughput.
+constexpr double kObservationNoiseStddev = 0.03;
+
+// Decision-time markup on spot quotes (the preemption-risk premium): the
+// scheduler prices a spot instance at quote x (1 + premium), so a spot type
+// must undercut on-demand by the premium before Eva mixes it in. Actual
+// costs charge the raw quote trace.
+constexpr double kSpotRiskPremium = 0.10;
+
+// Virtual-time bucket width of the registry time series.
+constexpr double kTimeseriesBucketSeconds = 3600.0;
+
 // A per-simulator provider must clamp capacity off the *same* fault schedule
 // the simulator kills instances from — one options block, two consumers.
 CloudProviderOptions MergedProviderOptions(const SimulatorOptions& options) {
@@ -31,38 +43,6 @@ CloudProviderOptions MergedProviderOptions(const SimulatorOptions& options) {
     merged.faults = options.faults;
   }
   return merged;
-}
-
-// Span names for the optional per-event tracing; string literals, interned
-// by pointer in the recorder.
-const char* EventSpanName(SimEventType type) {
-  switch (type) {
-    case SimEventType::kArrival:
-      return "ev.arrival";
-    case SimEventType::kRound:
-      return "ev.round";
-    case SimEventType::kInstanceReady:
-      return "ev.instance_ready";
-    case SimEventType::kCheckpointDone:
-      return "ev.checkpoint_done";
-    case SimEventType::kLaunchDone:
-      return "ev.launch_done";
-    case SimEventType::kCompletionCheck:
-      return "ev.completion_check";
-    case SimEventType::kSpotCheck:
-      return "ev.spot_check";
-    case SimEventType::kSpotPreempt:
-      return "ev.spot_preempt";
-    case SimEventType::kFaultCheck:
-      return "ev.fault_check";
-    case SimEventType::kZoneOutage:
-      return "ev.zone_outage";
-    case SimEventType::kDrainStart:
-      return "ev.drain_start";
-    case SimEventType::kDrainDeadline:
-      return "ev.drain_deadline";
-  }
-  return "ev.unknown";
 }
 
 }  // namespace
@@ -135,7 +115,6 @@ class Simulator::Impl {
     return (aborted_ || queue_.Empty()) ? std::numeric_limits<SimTime>::infinity()
                                         : queue_.Top().time;
   }
-  std::uint32_t ProviderFamilyFootprint(SimTime through);
   void AdvanceUntil(SimTime limit);
   void ProcessEventsThrough(SimTime t);
   SimulationMetrics Finish();
@@ -192,28 +171,6 @@ class Simulator::Impl {
   bool SpotActive() const { return provider_ != nullptr && provider_->spot_enabled(); }
   bool FaultsActive() const { return options_.faults.enabled; }
 
-  // Families with at least one catalog type that can host this job's tasks
-  // — every family a scheduler could conceivably launch for it.
-  std::uint32_t JobFamilyMask(const JobSpec& spec) const {
-    std::uint32_t mask = 0;
-    for (int i = 0; i < catalog_.NumTypes(); ++i) {
-      const InstanceType& type = catalog_.Get(i);
-      const auto bit = 1u << static_cast<int>(type.family);
-      if ((mask & bit) == 0 && spec.DemandFor(type.family).FitsWithin(type.capacity)) {
-        mask |= bit;
-      }
-    }
-    return mask;
-  }
-
-  std::uint32_t CachedJobFamilyMask(const JobSpec& spec) {
-    const auto [it, inserted] = job_family_mask_.try_emplace(spec.id, 0u);
-    if (inserted) {
-      it->second = JobFamilyMask(spec);
-    }
-    return it->second;
-  }
-
   bool HasActiveJobs() const { return state_.num_active() > 0; }
   bool HasPendingArrivals() const { return next_arrival_ < trace_.jobs.size(); }
 
@@ -266,7 +223,7 @@ class Simulator::Impl {
       flight_->Record(digest);
     }
     if (registry_ != nullptr) {
-      const double width = options_.observability.timeseries_bucket_s;
+      const double width = kTimeseriesBucketSeconds;
       registry_->Series("ts.hourly_cost", width).Sample(now_, hourly_cost);
       registry_->Series("ts.active_jobs", width).Sample(now_, state_.num_active());
       registry_->Series("ts.live_instances", width)
@@ -349,15 +306,6 @@ class Simulator::Impl {
   // every real price change and only then, and all tenants rounding in one
   // step share one snapshot instead of building their own.
   std::shared_ptr<const InstanceCatalog> quote_catalog_;
-
-  // Footprint contract (federation): the family mask this tenant declared
-  // for the barrier at `footprint_through_`. Acquisitions at that time must
-  // fall inside the mask — see ProviderFamilyFootprint.
-  std::uint32_t footprint_mask_ = 0;
-  SimTime footprint_through_ = -std::numeric_limits<SimTime>::infinity();
-  bool footprint_armed_ = false;
-  // A job's family-fit mask is pure in (spec, catalog); cached by job id.
-  std::unordered_map<JobId, std::uint32_t> job_family_mask_;
 
   // Quiescence tracking for the batched round trigger. `last_apply_noop_`:
   // the previous round's configuration changed nothing (no launches,
@@ -483,7 +431,7 @@ void Simulator::Impl::HandleRound() {
   // cluster state accumulated since the previous round, and the scheduler
   // calls are timed so the benches can report per-round decision latency.
   const std::vector<JobThroughputObservation>& observations = exec_.CollectObservations(
-      options_.physical_mode, options_.observation_noise_stddev, &rng_);
+      options_.physical_mode, kObservationNoiseStddev, &rng_);
   SchedulingContext& context = round_context_;  // Reused storage across rounds.
   state_.FillContext(now_, context);
   if (SpotActive()) {
@@ -493,7 +441,7 @@ void Simulator::Impl::HandleRound() {
     // step crossing swaps in a new identity so every pricing cache sees
     // the change. Cached snapshots are never freed, so identities never
     // collide.
-    quote_catalog_ = provider_->SharedQuoteCatalog(now_, options_.spot_risk_premium);
+    quote_catalog_ = provider_->SharedQuoteCatalog(now_, kSpotRiskPremium);
     context.catalog = quote_catalog_.get();
   }
   state_.DrainRoundDelta(context.delta);
@@ -569,21 +517,6 @@ void Simulator::Impl::ApplyConfig(const SchedulingContext& context,
     if (binding.existing_id != kInvalidInstanceId) {
       binding_instance[i] = binding.existing_id;
       continue;
-    }
-    if (options_.shared_provider != nullptr && footprint_armed_ &&
-        now_ == footprint_through_) {
-      // Footprint contract: a launch on a family the tenant did not declare
-      // would touch a shard the conflict grouping assigned to someone else.
-      // Fail loudly — the alternative is a silent cross-pool-size
-      // determinism break.
-      const auto family = static_cast<int>(catalog_.Get(binding.type_index).family);
-      if (((footprint_mask_ >> family) & 1u) == 0) {
-        EVA_LOG_ERROR(
-            "tenant %d: launch of family %d at t=%.0f escapes its declared "
-            "provider footprint (mask %#x); aborting",
-            options_.tenant_id, family, now_, footprint_mask_);
-        std::abort();
-      }
     }
     std::int64_t slot = -1;
     if (provider_ != nullptr && !provider_->TryAcquire(binding.type_index, now_, &slot)) {
@@ -1073,10 +1006,6 @@ bool Simulator::Impl::ProcessOneEvent() {
   }
   Advance(event.time);
   ++metrics_.events_processed;
-  if (obs_trace_ != nullptr && options_.observability.trace_engine_events) {
-    obs_trace_->Instant(track_, EventSpanName(event.type), event.time, "a",
-                    static_cast<double>(event.a));
-  }
   EVA_LOG_DEBUG("event t=%.3f type=%d a=" EVA_PRId64
                 " v=%d active=%d live=%zu queue=%zu",
                 event.time, static_cast<int>(event.type), event.a, event.version,
@@ -1177,33 +1106,6 @@ void Simulator::Impl::Start() {
   PushRound(std::max(options_.first_round_offset_s, 0.0));
 }
 
-std::uint32_t Simulator::Impl::ProviderFamilyFootprint(SimTime through) {
-  std::uint32_t mask = 0;
-  if (provider_ != nullptr) {
-    // Release / preemption channel: families of live instances (another
-    // tenant's admission at this barrier can depend on a slot we return).
-    for (const auto& [id, instance] : state_.instances()) {
-      mask |= 1u << static_cast<int>(catalog_.Get(instance.type_index).family);
-    }
-    // Acquire channel: families any active job fits — a round at the
-    // barrier may launch for any of them.
-    for (const JobId job_id : state_.active_jobs()) {
-      mask |= CachedJobFamilyMask(state_.jobs().find(job_id)->second.spec);
-    }
-    // Arrivals at or before the barrier join the active set before (or as)
-    // the round runs; AdvanceUntil stops strictly before the barrier, so
-    // scanning forward from next_arrival_ covers them.
-    for (std::size_t a = next_arrival_;
-         a < trace_.jobs.size() && trace_.jobs[a].arrival_time_s <= through; ++a) {
-      mask |= CachedJobFamilyMask(trace_.jobs[a]);
-    }
-  }
-  footprint_armed_ = true;
-  footprint_through_ = through;
-  footprint_mask_ = mask;
-  return mask;
-}
-
 void Simulator::Impl::AdvanceUntil(SimTime limit) {
   while (!aborted_ && !queue_.Empty() && queue_.Top().time < limit &&
          queue_.Top().type != SimEventType::kRound) {
@@ -1275,9 +1177,6 @@ SimulationMetrics Simulator::Run() { return impl_->Run(); }
 void Simulator::Start() { impl_->Start(); }
 SimTime Simulator::NextRoundTime() const { return impl_->NextRoundTime(); }
 SimTime Simulator::NextEventTime() const { return impl_->NextEventTime(); }
-std::uint32_t Simulator::ProviderFamilyFootprint(SimTime through) {
-  return impl_->ProviderFamilyFootprint(through);
-}
 bool Simulator::Drained() const { return impl_->Drained(); }
 void Simulator::AdvanceUntil(SimTime limit) { impl_->AdvanceUntil(limit); }
 void Simulator::ProcessEventsThrough(SimTime t) { impl_->ProcessEventsThrough(t); }

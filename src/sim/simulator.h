@@ -43,7 +43,6 @@ struct SimulatorOptions {
 
   // Physical mode: stochastic delays and noisy throughput observations.
   bool physical_mode = false;
-  double observation_noise_stddev = 0.03;
 
   CloudDelayModel cloud_delays;
 
@@ -71,7 +70,7 @@ struct SimulatorOptions {
   // owns it (it must outlive the simulator) and must construct the
   // simulator with the provider's base catalog; the engine then runs
   // against provider->tiered_catalog(). See sim/federation.h for the
-  // lockstep protocol that keeps shared-provider runs deterministic.
+  // protocol that keeps shared-provider runs deterministic.
   CloudProvider* shared_provider = nullptr;
 
   // Tenant index, for logs and federation bookkeeping.
@@ -91,12 +90,6 @@ struct SimulatorOptions {
   // The federation's stagger option assigns distinct per-tenant offsets so
   // rounds spread across the period instead of colliding on one barrier.
   SimTime first_round_offset_s = 0.0;
-
-  // Decision-time markup on spot quotes (the preemption-risk premium): the
-  // scheduler prices a spot instance at quote x (1 + premium), so a spot
-  // type must undercut on-demand by the premium before Eva mixes it in.
-  // Actual costs charge the raw quote trace.
-  double spot_risk_premium = 0.10;
 
   // Observability sinks (default off: every hot-path hook is a null test,
   // trajectories and allocation counts bit-identical to a build without the
@@ -124,15 +117,16 @@ class Simulator {
   // Equivalent to Start(); ProcessEventsThrough(+inf); Finish().
   SimulationMetrics Run();
 
-  // --- Lockstep stepping API (the federation driver; see federation.h) ---
-  // The driver alternates a parallel phase — every tenant with an event
-  // before the next scheduling round anywhere processes its events up to
-  // (strictly before) that round, via AdvanceUntil — with a serial phase that processes the round-boundary
-  // events tenant by tenant via ProcessEventsThrough. Scheduling rounds are
-  // the only events that acquire provider capacity, so confining them to
-  // the serial phase makes contended admission deterministic: grants are
-  // arbitrated in (virtual time, tenant order), independent of thread
-  // count.
+  // --- Stepping API (the federation driver; see federation.h) -----------
+  // A federation with a finite provider pool steps its tenants through
+  // barriers on one thread: each barrier is the next scheduling round
+  // anywhere; every tenant first processes its events strictly before it
+  // via AdvanceUntil, then the tenants with events at the barrier process
+  // them one at a time in tenant order via ProcessEventsThrough.
+  // Scheduling rounds are the only events that acquire provider capacity,
+  // so contended admission is arbitrated in (virtual time, tenant order).
+  // A federation without a finite pool runs each tenant to completion with
+  // ProcessEventsThrough(+inf) instead.
 
   // Prepares the event queue (first arrival + first round). Call once.
   void Start();
@@ -145,22 +139,12 @@ class Simulator {
   // do at a barrier.
   SimTime NextEventTime() const;
 
-  // Families of the shared provider this tenant could touch — acquire,
-  // release, or preemption-record — while processing events at times <=
-  // `through`: live-instance families plus every family an active or
-  // arriving-by-`through` job fits. The federation driver intersects these
-  // masks (restricted to the provider's finite families) to partition
-  // same-barrier rounds into conflict groups. Calling this also arms a
-  // contract check: an acquisition at exactly `through` outside the
-  // returned mask is a hard error, because a launch the grouping could not
-  // foresee would silently break cross-pool-size determinism.
-  std::uint32_t ProviderFamilyFootprint(SimTime through);
-
   // True when no events remain (or the run aborted at max_sim_time_s).
   bool Drained() const;
 
   // Processes events with time < limit, stopping early whenever the next
-  // event is a scheduling round (which the serial phase must own).
+  // event is a scheduling round (which the barrier's tenant-ordered pass
+  // must own).
   void AdvanceUntil(SimTime limit);
 
   // Processes every event with time <= t, rounds included, plus any events

@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -55,6 +59,32 @@ TEST(ThreadPoolTest, ParallelForRunsInlineOnOneThreadPool) {
   });
   for (const std::thread::id& id : ran_on) {
     EXPECT_EQ(id, caller);
+  }
+}
+
+// A pool of n counts its caller as one of the n threads. Every index holds
+// its thread until one more thread than the pool size has joined the batch,
+// or until a deadline: a pool that puts n + 1 threads on a batch releases
+// early and shows n + 1 distinct ids; a correct pool waits out the deadline
+// once and shows at most n.
+TEST(ThreadPoolTest, ParallelForRunsOnAtMostPoolSizeThreads) {
+  for (int threads : {2, 4}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(pool.num_threads(), threads);
+    std::mutex mutex;
+    std::condition_variable joined;
+    std::set<std::thread::id> ids;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+    const auto limit = static_cast<std::size_t>(threads);
+    pool.ParallelFor(4 * limit, [&](std::size_t) {
+      std::unique_lock<std::mutex> lock(mutex);
+      ids.insert(std::this_thread::get_id());
+      joined.notify_all();
+      joined.wait_until(lock, deadline, [&] { return ids.size() > limit; });
+    });
+    EXPECT_GE(ids.size(), 1u);
+    EXPECT_LE(ids.size(), limit) << "pool of " << threads;
   }
 }
 

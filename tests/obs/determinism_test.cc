@@ -119,6 +119,9 @@ TEST(ObsDeterminismTest, InjectedPerturbationIsLocalisedToItsRound) {
   EXPECT_EQ(report->field, "rng_hash");
 }
 
+// Both federation regimes: capped pools run the barrier loop on one thread
+// (and emit barrier spans); unlimited pools run the tenants concurrently,
+// each writing its own track of the shared recorder.
 TEST(ObsFederationDeterminismTest, TraceBytesIdenticalAcrossDriverPoolSizes) {
   AlibabaTraceOptions base_options;
   base_options.num_jobs = 2000;
@@ -128,57 +131,63 @@ TEST(ObsFederationDeterminismTest, TraceBytesIdenticalAcrossDriverPoolSizes) {
       MakeTenantShards(GenerateAlibabaTrace(base_options), /*num_tenants=*/3,
                        /*jobs_per_tenant=*/25);
 
-  const auto run = [&tenants](int num_threads, TraceRecorder& recorder,
-                              std::vector<FlightRecorder>& flights,
-                              TelemetryRegistry& registry) {
-    FederationOptions options;
-    options.provider.enabled = true;
-    options.provider.family_capacity = {2, 4, 2};
-    options.provider.spot.enabled = true;
-    options.provider.spot.price_step_s = 900.0;
-    options.provider.spot.spike_probability = 0.15;
-    options.provider.spot.seed = 4242;
-    options.simulator.seed = 5;
-    options.simulator.observability.trace = &recorder;
-    options.simulator.observability.registry = &registry;
-    options.flight_recorders = &flights;
-    options.num_threads = num_threads;
-    return RunFederation(tenants, options);
-  };
+  for (const bool capped : {true, false}) {
+    SCOPED_TRACE(capped ? "capped pools" : "unlimited pools");
+    const auto run = [&tenants, capped](int num_threads, TraceRecorder& recorder,
+                                        std::vector<FlightRecorder>& flights,
+                                        TelemetryRegistry& registry) {
+      FederationOptions options;
+      options.provider.enabled = true;
+      if (capped) {
+        options.provider.family_capacity = {2, 4, 2};
+      }
+      options.provider.spot.enabled = true;
+      options.provider.spot.price_step_s = 900.0;
+      options.provider.spot.spike_probability = 0.15;
+      options.provider.spot.seed = 4242;
+      options.simulator.seed = 5;
+      options.simulator.observability.trace = &recorder;
+      options.simulator.observability.registry = &registry;
+      options.flight_recorders = &flights;
+      options.num_threads = num_threads;
+      return RunFederation(tenants, options);
+    };
 
-  TraceRecorder rec1, rec2, rec8;
-  std::vector<FlightRecorder> fl1, fl2, fl8;
-  TelemetryRegistry reg1, reg2, reg8;
-  run(1, rec1, fl1, reg1);
-  run(2, rec2, fl2, reg2);
-  run(8, rec8, fl8, reg8);
+    TraceRecorder rec1, rec2, rec8;
+    std::vector<FlightRecorder> fl1, fl2, fl8;
+    TelemetryRegistry reg1, reg2, reg8;
+    run(1, rec1, fl1, reg1);
+    run(2, rec2, fl2, reg2);
+    run(8, rec8, fl8, reg8);
 
-  // Tenant tracks fill concurrently in the parallel phase, yet the export
-  // merge-sorts by virtual time, so the bytes cannot depend on the pool.
-  const std::string json1 = rec1.ToChromeJson();
-  EXPECT_FALSE(json1.empty());
-  EXPECT_NE(json1.find("\"federation\""), std::string::npos);
-  EXPECT_NE(json1.find("fed.barrier"), std::string::npos);
-  EXPECT_EQ(json1, rec2.ToChromeJson());
-  EXPECT_EQ(json1, rec8.ToChromeJson());
+    // The export merge-sorts every track by virtual time, so the bytes
+    // cannot depend on the order in which the driver ran the tenants.
+    const std::string json1 = rec1.ToChromeJson();
+    EXPECT_FALSE(json1.empty());
+    EXPECT_NE(json1.find("\"federation\""), std::string::npos);
+    EXPECT_EQ(json1.find("fed.barrier") != std::string::npos, capped);
+    EXPECT_EQ(json1, rec2.ToChromeJson());
+    EXPECT_EQ(json1, rec8.ToChromeJson());
 
-  // The driver published its stats through the registry for every run.
-  EXPECT_GT(reg1.CounterValue("federation.barriers"), 0);
-  EXPECT_EQ(reg1.ToJson(), reg2.ToJson());
-  EXPECT_EQ(reg1.ToJson(), reg8.ToJson());
+    // The driver published its stats through the registry for every run;
+    // only the capped regime runs barriers.
+    EXPECT_EQ(reg1.CounterValue("federation.barriers") > 0, capped);
+    EXPECT_EQ(reg1.ToJson(), reg2.ToJson());
+    EXPECT_EQ(reg1.ToJson(), reg8.ToJson());
 
-  // Per-tenant flight digests: no divergence anywhere in the window.
-  ASSERT_EQ(fl1.size(), tenants.size());
-  ASSERT_EQ(fl2.size(), tenants.size());
-  ASSERT_EQ(fl8.size(), tenants.size());
-  for (std::size_t i = 0; i < tenants.size(); ++i) {
-    EXPECT_GT(fl1[i].rounds_recorded(), 0) << "tenant " << i;
-    const auto d2 = DiffFirstDivergence(fl1[i], fl2[i]);
-    EXPECT_FALSE(d2.has_value())
-        << "tenant " << i << ": " << d2->ToString();
-    const auto d8 = DiffFirstDivergence(fl1[i], fl8[i]);
-    EXPECT_FALSE(d8.has_value())
-        << "tenant " << i << ": " << d8->ToString();
+    // Per-tenant flight digests: no divergence anywhere in the window.
+    ASSERT_EQ(fl1.size(), tenants.size());
+    ASSERT_EQ(fl2.size(), tenants.size());
+    ASSERT_EQ(fl8.size(), tenants.size());
+    for (std::size_t i = 0; i < tenants.size(); ++i) {
+      EXPECT_GT(fl1[i].rounds_recorded(), 0) << "tenant " << i;
+      const auto d2 = DiffFirstDivergence(fl1[i], fl2[i]);
+      EXPECT_FALSE(d2.has_value())
+          << "tenant " << i << ": " << d2->ToString();
+      const auto d8 = DiffFirstDivergence(fl1[i], fl8[i]);
+      EXPECT_FALSE(d8.has_value())
+          << "tenant " << i << ": " << d8->ToString();
+    }
   }
 }
 

@@ -6,8 +6,8 @@
 // disabled model is never consulted.
 //
 // (The suite name deliberately matches the CI sanitizer filter
-// `Federation|ThreadPool|Fault`: these handlers run inside the federation's
-// parallel phase, so they get TSan coverage too.)
+// `Federation|ThreadPool|Fault`: these handlers run concurrently inside an
+// unlimited-pool federation's tenants, so they get TSan coverage too.)
 
 #include <gtest/gtest.h>
 

@@ -2,11 +2,12 @@
 // one shared, capacity-constrained spot provider.
 //
 // The load-bearing property is bit-reproducibility: per-tenant metrics must
-// be identical across repeated runs AND across thread-pool sizes — the
-// lockstep protocol confines every provider grant to the serial
-// tenant-ordered phase, and all parallel-phase provider mutations are
-// commutative. The scenario tests additionally pin the new market behaviors
-// (denials under exhausted pools, spot preemptions) actually engaging.
+// be identical across repeated runs AND across thread-pool sizes. With a
+// finite pool the barrier loop runs every grant in (virtual time, tenant
+// index) order on one thread; with unlimited pools tenants run concurrently
+// and independently, and each must match a standalone run of its trace. The
+// scenario tests additionally pin the new market behaviors (denials under
+// exhausted pools, spot preemptions) actually engaging.
 
 #include "src/sim/federation.h"
 
@@ -259,15 +260,15 @@ FederationResult ExpectPoolSizeInvariant(const std::vector<FederationTenant>& te
   return one;
 }
 
-// The conflict-grouped round phase at production tenant counts: 100 tenants
-// sharing finite P3/R7i pools and an unlimited C7i pool (the concurrent-
-// grant path plus the swept-peak accounting) must be bit-identical across
-// pool sizes {1, 2, 8} — the tentpole invariant of the sharded driver.
+// The barrier loop at production tenant counts: 100 tenants sharing finite
+// P3/R7i pools and an unlimited C7i pool (the swept-peak accounting) must be
+// bit-identical across pool sizes {1, 2, 8}. Any finite pool puts every
+// barrier's participants into one tenant-ordered group.
 TEST(FederationTest, PoolSizeDeterminismAtOneHundredTenants) {
   FederationOptions options;
   options.provider.enabled = true;
-  // Finite P3/R7i shards (contended, serialized per group) + unlimited C7i
-  // (concurrent grants, peak via the finalize sweep).
+  // Finite P3/R7i shards (contended) + unlimited C7i (peak via the finalize
+  // sweep).
   options.provider.family_capacity = {40, -1, 30};
   options.provider.spot.enabled = true;
   options.provider.spot.price_step_s = 900.0;
@@ -277,44 +278,66 @@ TEST(FederationTest, PoolSizeDeterminismAtOneHundredTenants) {
 
   const FederationResult one = ExpectPoolSizeInvariant(MakeHundredTenants(), options);
   ASSERT_EQ(one.tenants.size(), 100u);
-  // Sanity: the scenario actually contends and actually parallelizes.
+  // Sanity: the scenario actually contends, and each barrier is one group.
   EXPECT_GT(one.provider.TotalDenied(), 0);
-  EXPECT_GT(one.stats.round_groups, one.stats.barriers);  // >1 group somewhere.
+  EXPECT_GT(one.stats.barriers, 0);
+  EXPECT_EQ(one.stats.round_groups, one.stats.barriers);
 }
 
-// The sparse-barrier path: unlimited on-demand pools with staggered rounds
-// (the shape of the benchmark's 500-tenant open federation). Each barrier
-// carries a slice of the tenants and most tenants have no event below it,
-// so the parallel phase dispatches only the few with work — and the result
-// must still be bit-identical across pool sizes {1, 2, 8}.
-TEST(FederationTest, SparseBarrierDeterminismAtOneHundredTenants) {
+// Unlimited pools make tenants independent: no grant can be denied and
+// every shared provider tally is commutative, so the driver runs each tenant
+// to completion on its own. Each tenant's metrics must equal, bit for bit, a
+// standalone run of its trace with the same per-tenant options against a
+// private provider, at every pool size — with spot preemptions and fault
+// kills releasing capacity concurrently.
+TEST(FederationTest, UnlimitedPoolTenantsMatchStandaloneRuns) {
   FederationOptions options;
-  options.provider.enabled = true;  // Unlimited on-demand pools.
-  options.stagger_rounds = true;
+  options.provider.enabled = true;  // Unlimited pools.
+  options.provider.spot.enabled = true;
+  options.provider.spot.price_step_s = 900.0;
+  options.provider.spot.spike_probability = 0.15;
+  options.provider.spot.seed = 4242;
   options.simulator.seed = 5;
+  options.simulator.faults.enabled = true;
+  options.simulator.faults.seed = 97;
 
-  const FederationResult one = ExpectPoolSizeInvariant(MakeHundredTenants(), options);
-  ASSERT_EQ(one.tenants.size(), 100u);
-  for (const FederationResult::Tenant& tenant : one.tenants) {
-    EXPECT_EQ(tenant.metrics.jobs_completed, tenant.metrics.jobs_submitted)
-        << tenant.name;
-  }
+  const std::vector<FederationTenant> tenants = MakeHundredTenants();
+  const FederationResult one = ExpectPoolSizeInvariant(tenants, options);
+  ASSERT_EQ(one.tenants.size(), tenants.size());
+  EXPECT_EQ(one.stats.barriers, 0);
   EXPECT_EQ(one.provider.TotalDenied(), 0);
-  // Idle tenants are skipped: under a tenth of the tenant-barrier pairs are
-  // dispatched in the parallel phase.
-  const std::int64_t pairs =
-      one.stats.barriers * static_cast<std::int64_t>(one.tenants.size());
-  EXPECT_GT(one.stats.advance_participants, 0);
-  EXPECT_LT(one.stats.advance_participants * 10, pairs);
+
+  std::int64_t preemptions = 0;
+  std::int64_t fault_kills = 0;
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
+    SCOPED_TRACE(tenants[i].name);
+    // The options RunFederation gives tenant i, with a private provider in
+    // place of the shared one.
+    SimulatorOptions standalone = options.simulator;
+    standalone.provider = options.provider;
+    standalone.tenant_id = static_cast<int>(i);
+    standalone.seed = options.simulator.seed + i;
+    SchedulerBundle bundle =
+        MakeScheduler(tenants[i].kind, options.interference, options.eva);
+    const SimulationMetrics alone =
+        RunSimulation(tenants[i].trace, bundle.scheduler.get(), options.catalog,
+                      options.interference, standalone);
+    ExpectBitIdentical(one.tenants[i].metrics, alone);
+    EXPECT_EQ(alone.jobs_completed, alone.jobs_submitted);
+    preemptions += alone.spot_preemptions;
+    fault_kills += alone.faults.instances_killed;
+  }
+  EXPECT_GT(preemptions, 0);
+  EXPECT_GT(fault_kills, 0);
 }
 
 // The fault-injection tentpole invariant: with the deterministic fault
 // model on (zone outages, correlated bursts, maintenance drains all
 // engaging against the shared provider), the 100-tenant federation must
-// still be bit-identical across pool sizes {1, 2, 8} — fault kills in the
-// parallel phase only release capacity (commutative per shard), the outage
-// capacity clamp is a pure function of time consulted at the serialized
-// acquire, and every fault schedule is a pure hash of (seed, kind, step).
+// still be bit-identical across pool sizes {1, 2, 8} — fault kills only
+// release capacity (commutative per shard), the outage capacity clamp is a
+// pure function of time consulted at the serialized acquire, and every
+// fault schedule is a pure hash of (seed, kind, step).
 TEST(FederationTest, FaultInjectionDeterministicAtOneHundredTenants) {
   FederationOptions options;
   options.provider.enabled = true;
@@ -353,9 +376,11 @@ TEST(FederationTest, FaultInjectionDeterministicAtOneHundredTenants) {
     EXPECT_EQ(tenant.metrics.jobs_completed, tenant.metrics.jobs_submitted)
         << tenant.name;
   }
+  EXPECT_GT(one.stats.barriers, 0);
+  EXPECT_EQ(one.stats.round_groups, one.stats.barriers);
 }
 
-// Two tenants racing the single slot of one family shard: the grouped phase
+// Two tenants racing the single slot of one family shard: the barrier loop
 // must arbitrate the grant in tenant-index order, every time, at every pool
 // size. Demands carry GPUs on both vectors, so only the P3 family fits and
 // the two tenants provably share that shard.
@@ -440,8 +465,9 @@ TEST(FederationTest, StaggerOffsetsAreDeterministic) {
 }
 
 // A tenant that trips max_sim_time_s aborts mid-run with its round event
-// still notionally pending; the driver must see its barrier as +infinity
-// and terminate instead of spinning on the stale round time forever.
+// still notionally pending; the barrier loop (a finite pool) must see its
+// barrier as +infinity and terminate instead of spinning on the stale round
+// time forever.
 TEST(FederationTest, AbortedTenantDoesNotWedgeTheFederation) {
   SyntheticTraceOptions trace_options;
   trace_options.num_jobs = 4;
@@ -452,12 +478,15 @@ TEST(FederationTest, AbortedTenantDoesNotWedgeTheFederation) {
   tenant.kind = SchedulerKind::kEva;
 
   FederationOptions options;
+  options.provider.enabled = true;
+  options.provider.family_capacity = {2, 2, 2};
   // The second scheduling round (t=300s) already exceeds the limit.
   options.simulator.max_sim_time_s = 100.0;
   const FederationResult result = RunFederation({tenant}, options);
   ASSERT_EQ(result.tenants.size(), 1u);
   EXPECT_EQ(result.tenants[0].metrics.jobs_completed, 0);
   EXPECT_LE(result.tenants[0].metrics.makespan_s, 100.0);
+  EXPECT_GT(result.stats.barriers, 0);
 }
 
 }  // namespace
