@@ -12,15 +12,15 @@
 //                      preemptible discounted capacity and eat two-minute
 //                      preemptions.
 //
+//    The open regime runs again on one thread, because it is the one whose
+//    tenants really run concurrently: every tenant's registry export must
+//    match across both runs, or the run fails (non-zero exit).
+//
 // 2. Tenant-scaling sweep — 10/100/500 tenants (1000 at full
-//    EVA_BENCH_SCALE) on capped pools, each point run with num_threads 1
-//    and with the hardware thread count. A finite pool puts the federation
-//    on its barrier loop, which runs on the calling thread whatever
-//    num_threads says, so the two walls agree up to noise (thread scaling
-//    about 1x) and the pair checks that the setting leaks into no simulated
-//    value: every tenant's registry export must match across both runs,
-//    or the run fails (non-zero exit). Reports events/sec, both walls, the
-//    serial share of the round phase (1.0 whenever a barrier ran) and the
+//    EVA_BENCH_SCALE) on capped pools, one run per point. A finite pool puts
+//    the federation on its barrier loop, which runs on the calling thread
+//    whatever num_threads says. Reports events/sec, the wall, the serial
+//    share of the round phase (1.0 whenever a barrier ran) and the
 //    shard-derivation setup wall.
 //
 // Reports per-tenant cost / spot share / JCT / denial / preemption counts
@@ -77,9 +77,34 @@ double TimedRun(const std::vector<FederationTenant>& tenants, FederationOptions 
   return WallSince(start);
 }
 
-void RunScenario(BenchJsonWriter& json, const std::string& name,
-                 const std::vector<FederationTenant>& tenants, int jobs_per_tenant,
-                 const FederationOptions& options) {
+// The determinism contract: num_threads must not leak into any simulated
+// quantity. Reruns `options` on one thread and compares every tenant's
+// registry export with `result`'s bit for bit.
+bool MatchesOneThreadRun(const std::vector<FederationTenant>& tenants,
+                         FederationOptions options, const FederationResult& result) {
+  options.num_threads = 1;
+  TelemetryRegistry fleet;
+  FederationResult serial;
+  const double wall = TimedRun(tenants, options, fleet, serial);
+  bool identical = true;
+  for (std::size_t i = 0; i < result.tenants.size(); ++i) {
+    if (Telemetry(result.tenants[i].metrics).ToJson() !=
+        Telemetry(serial.tenants[i].metrics).ToJson()) {
+      std::printf("ERROR: %s diverges between 1 and %d threads — determinism "
+                  "contract broken\n",
+                  result.tenants[i].name.c_str(), ThreadPool::DefaultThreads());
+      identical = false;
+    }
+  }
+  std::printf("1-thread rerun %.3fs: tenant exports %s\n", wall,
+              identical ? "identical" : "DIFFER");
+  return identical;
+}
+
+// Runs one regime, emits its rows and returns its result.
+FederationResult RunScenario(BenchJsonWriter& json, const std::string& name,
+                             const std::vector<FederationTenant>& tenants,
+                             int jobs_per_tenant, const FederationOptions& options) {
   std::printf("\n--- scenario: %s ---\n", name.c_str());
   TelemetryRegistry fleet;
   FederationResult result;
@@ -104,13 +129,12 @@ void RunScenario(BenchJsonWriter& json, const std::string& name,
                   .Add("advance_wall_s", result.stats.advance_wall_s)
                   .Add("round_wall_s", result.stats.round_wall_s),
               fleet);
+  return result;
 }
 
 // One tenant-scaling point: derive the shards (timed), then run the
-// identical federation with num_threads 1 and with the hardware thread
-// count. Returns false when the two runs disagree: every tenant's registry
-// export must match bit for bit.
-bool RunSweepPoint(BenchJsonWriter& json, const Trace& base, int num_tenants,
+// federation once at the hardware thread count.
+void RunSweepPoint(BenchJsonWriter& json, const Trace& base, int num_tenants,
                    int jobs_per_tenant) {
   const std::string name = "fed" + std::to_string(num_tenants);
   std::printf("\n--- sweep: %d tenants x %d jobs ---\n", num_tenants,
@@ -133,54 +157,28 @@ bool RunSweepPoint(BenchJsonWriter& json, const Trace& base, int num_tenants,
   options.provider.spot.spike_probability = 0.06;
   options.simulator.seed = 5;
   options.stagger_rounds = true;  // Each barrier carries a slice of the tenants.
-
-  options.num_threads = 1;
-  TelemetryRegistry fleet_serial;
-  FederationResult serial;
-  const double wall_serial = TimedRun(tenants, options, fleet_serial, serial);
-
   const int hardware_threads = ThreadPool::DefaultThreads();
   options.num_threads = hardware_threads;
+
   TelemetryRegistry fleet;
   FederationResult result;
-  const double wall_pooled = TimedRun(tenants, options, fleet, result);
-
-  // The determinism contract, enforced on every bench run: num_threads must
-  // not leak into any simulated quantity.
-  bool identical = true;
-  for (std::size_t i = 0; i < result.tenants.size(); ++i) {
-    if (Telemetry(result.tenants[i].metrics).ToJson() !=
-        Telemetry(serial.tenants[i].metrics).ToJson()) {
-      std::printf("ERROR: %s diverges between 1 and %d threads — determinism "
-                  "contract broken\n",
-                  result.tenants[i].name.c_str(), hardware_threads);
-      identical = false;
-    }
-  }
-
+  const double wall = TimedRun(tenants, options, fleet, result);
   PrintFederationReport(result);
 
   const std::int64_t events = fleet.CounterValue("sim.events_processed");
-  const double eps_serial =
-      wall_serial > 0.0 ? static_cast<double>(events) / wall_serial : 0.0;
-  const double eps_pooled =
-      wall_pooled > 0.0 ? static_cast<double>(events) / wall_pooled : 0.0;
-  const double scaling = wall_pooled > 0.0 ? wall_serial / wall_pooled : 0.0;
-  std::printf("shard setup %.3fs; 1 thread: %.3fs (%.0f ev/s); %d threads: "
-              "%.3fs (%.0f ev/s); scaling %.2fx; serial share %.3f\n",
-              shard_wall, wall_serial, eps_serial, hardware_threads,
-              wall_pooled, eps_pooled, scaling, result.stats.SerialShare());
+  std::printf("shard setup %.3fs; %d threads: %.3fs (%.0f ev/s); serial share %.3f\n",
+              shard_wall, hardware_threads, wall,
+              wall > 0.0 ? static_cast<double>(events) / wall : 0.0,
+              result.stats.SerialShare());
 
   json.AddRow(name + "_scale",
               BenchFields()
                   .Add("tenants", num_tenants)
                   .Add("jobs_per_tenant", jobs_per_tenant)
-                  .Add("wall_seconds", wall_pooled)
-                  .Add("wall_seconds_1thread", wall_serial)
+                  .Add("wall_seconds", wall)
                   .Add("num_threads", hardware_threads)
                   .Add("shard_setup_s", shard_wall),
               fleet);
-  return identical;
 }
 
 }  // namespace
@@ -199,7 +197,8 @@ int main() {
   FederationOptions open;
   open.provider.enabled = true;  // Pass-through: unlimited, on-demand only.
   open.simulator.seed = 5;
-  RunScenario(json, "open", tenants, jobs_per_tenant, open);
+  const bool identical = MatchesOneThreadRun(
+      tenants, open, RunScenario(json, "open", tenants, jobs_per_tenant, open));
 
   FederationOptions capped = open;
   // Pools sized to bind under three contending tenants: the shards together
@@ -225,11 +224,11 @@ int main() {
   // shrink with the fleet so each point stays a comparable total volume;
   // the 1000-tenant point only runs at full EVA_BENCH_SCALE.
   const Trace base = MakeBaseTrace();
-  bool identical = RunSweepPoint(json, base, /*num_tenants=*/10, ScaledJobCount(100));
-  identical &= RunSweepPoint(json, base, /*num_tenants=*/100, ScaledJobCount(40));
-  identical &= RunSweepPoint(json, base, /*num_tenants=*/500, ScaledJobCount(12));
+  RunSweepPoint(json, base, /*num_tenants=*/10, ScaledJobCount(100));
+  RunSweepPoint(json, base, /*num_tenants=*/100, ScaledJobCount(40));
+  RunSweepPoint(json, base, /*num_tenants=*/500, ScaledJobCount(12));
   if (ScaledJobCount(100) >= 100) {
-    identical &= RunSweepPoint(json, base, /*num_tenants=*/1000, ScaledJobCount(8));
+    RunSweepPoint(json, base, /*num_tenants=*/1000, ScaledJobCount(8));
   }
 
   bool written = true;

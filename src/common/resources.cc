@@ -4,13 +4,6 @@
 #include <cstdio>
 
 namespace eva {
-namespace {
-
-// Tolerance for capacity checks. Demands in the traces carry at most two
-// decimal places, so 1e-9 is far below any meaningful quantum.
-constexpr double kEpsilon = 1e-9;
-
-}  // namespace
 
 const char* ResourceName(Resource r) {
   switch (r) {
@@ -24,18 +17,9 @@ const char* ResourceName(Resource r) {
   return "?";
 }
 
-bool ResourceVector::FitsWithin(const ResourceVector& capacity) const {
-  for (int i = 0; i < kNumResources; ++i) {
-    if (values_[i] > capacity.values_[i] + kEpsilon) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool ResourceVector::IsZero() const {
   for (double v : values_) {
-    if (std::fabs(v) > kEpsilon) {
+    if (std::fabs(v) > kResourceEpsilon) {
       return false;
     }
   }
@@ -44,25 +28,11 @@ bool ResourceVector::IsZero() const {
 
 bool ResourceVector::IsNonNegative() const {
   for (double v : values_) {
-    if (v < -kEpsilon) {
+    if (v < -kResourceEpsilon) {
       return false;
     }
   }
   return true;
-}
-
-ResourceVector& ResourceVector::operator+=(const ResourceVector& other) {
-  for (int i = 0; i < kNumResources; ++i) {
-    values_[i] += other.values_[i];
-  }
-  return *this;
-}
-
-ResourceVector& ResourceVector::operator-=(const ResourceVector& other) {
-  for (int i = 0; i < kNumResources; ++i) {
-    values_[i] -= other.values_[i];
-  }
-  return *this;
 }
 
 ResourceVector ResourceVector::Scaled(double factor) const {

@@ -23,6 +23,10 @@ enum class Resource : int {
 
 inline constexpr int kNumResources = 3;
 
+// Tolerance for capacity checks. Demands in the traces carry at most two
+// decimal places, so 1e-9 is far below any meaningful quantum.
+inline constexpr double kResourceEpsilon = 1e-9;
+
 // Returns a short human-readable name ("GPU", "CPU", "RAM").
 const char* ResourceName(Resource r);
 
@@ -44,14 +48,32 @@ class ResourceVector {
   void Set(Resource r, double value) { values_[static_cast<int>(r)] = value; }
 
   // Component-wise comparison with a small epsilon so that repeated
-  // add/subtract cycles do not spuriously reject an exact fit.
-  bool FitsWithin(const ResourceVector& capacity) const;
+  // add/subtract cycles do not spuriously reject an exact fit. Inline: the
+  // packing argmax calls it once per visited candidate.
+  bool FitsWithin(const ResourceVector& capacity) const {
+    for (int i = 0; i < kNumResources; ++i) {
+      if (values_[i] > capacity.values_[i] + kResourceEpsilon) {
+        return false;
+      }
+    }
+    return true;
+  }
 
   bool IsZero() const;
   bool IsNonNegative() const;
 
-  ResourceVector& operator+=(const ResourceVector& other);
-  ResourceVector& operator-=(const ResourceVector& other);
+  ResourceVector& operator+=(const ResourceVector& other) {
+    for (int i = 0; i < kNumResources; ++i) {
+      values_[i] += other.values_[i];
+    }
+    return *this;
+  }
+  ResourceVector& operator-=(const ResourceVector& other) {
+    for (int i = 0; i < kNumResources; ++i) {
+      values_[i] -= other.values_[i];
+    }
+    return *this;
+  }
   friend ResourceVector operator+(ResourceVector a, const ResourceVector& b) { return a += b; }
   friend ResourceVector operator-(ResourceVector a, const ResourceVector& b) { return a -= b; }
   friend bool operator==(const ResourceVector& a, const ResourceVector& b) {

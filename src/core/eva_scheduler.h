@@ -10,8 +10,9 @@
 // Eva-Single (multi-task-oblivious), Eva w/o Full Reconfig, and Full-only.
 //
 // The decision path is delta-incremental across rounds, bit-identically:
-//   * one persistent TnrpCalculator memoizes RP and TNRP across rounds,
-//     invalidated per workload row by new throughput observations;
+//   * one persistent TnrpCalculator caches RP per task and memoizes set
+//     TNRPs across rounds, invalidated per workload row by new throughput
+//     observations (a task's TNRP is computed per call);
 //   * a round memo replays the previous round's candidate configurations
 //     (and, in ensemble mode, their savings/migration prices) verbatim when
 //     nothing decision-relevant changed — the common quiescent round.

@@ -18,6 +18,7 @@ bool Fits(const TaskInfo& task, const InstanceType& type, const ResourceVector& 
 struct ArgmaxResult {
   int candidate = -1;
   Money tnrp = 0.0;
+  std::size_t live_position = 0;  // The candidate's position in the live list.
 };
 
 // Pooled per-round packing scratch, leased per (thread, nesting level) via
@@ -26,11 +27,16 @@ struct ArgmaxResult {
 // pass is done with it.
 struct PackScratch {
   std::vector<bool> assigned;
-  std::vector<bool> in_tentative_set;
   std::vector<const TaskInfo*> members;
   std::vector<std::size_t> member_indices;
   std::vector<int> classes;      // Pricing class per pool slot.
   std::vector<bool> class_seen;  // Per scan: a fitting candidate had the class.
+  // Unassigned slots that fit an empty instance of the current type, in
+  // pool order.
+  std::vector<std::size_t> type_slots;
+  // The tentative instance's live candidates: `type_slots` minus the
+  // members and the slots that stopped fitting, in pool order.
+  std::vector<std::size_t> live;
 };
 
 // Caller-facing entry points' pool-building scratch.
@@ -38,24 +44,29 @@ struct PoolScratch {
   std::vector<const TaskInfo*> pool;
 };
 
-// Argmax over the pool: the unassigned, fitting task whose addition
+// Argmax over the live candidates: the fitting task whose addition
 // maximizes TNRP(members + {task}); earliest index wins exact ties (the `>`
-// below). A candidate prices as its pricing class, so once one candidate of
-// a class has been priced, later ones of that class tie and lose: they are
-// skipped unpriced. The class ignores demands, so it is marked only after
-// the candidate passes Fits.
+// below, over a list kept in pool order). A candidate prices as its pricing
+// class, so once one candidate of a class has been priced, later ones of
+// that class tie and lose: they are skipped unpriced and stay live. A slot
+// that fails Fits leaves the list for good: `used` only grows (demands are
+// non-negative), so it cannot fit this instance again. The class ignores
+// demands, so it is marked only after the candidate passes Fits.
 ArgmaxResult ScanCandidates(const std::vector<const TaskInfo*>& pool, PackScratch& scratch,
                             const InstanceType& type, const ResourceVector& used,
                             const TnrpCalculator& calculator) {
   std::vector<bool>& class_seen = scratch.class_seen;
   std::fill(class_seen.begin(), class_seen.end(), false);
+  std::vector<std::size_t>& live = scratch.live;
   ArgmaxResult best;
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (scratch.assigned[i] || scratch.in_tentative_set[i] || !Fits(*pool[i], type, used)) {
-      continue;
-    }
+  std::size_t kept = 0;
+  for (const std::size_t i : live) {
     const auto pricing_class = static_cast<std::size_t>(scratch.classes[i]);
     if (class_seen[pricing_class]) {
+      live[kept++] = i;
+      continue;
+    }
+    if (!Fits(*pool[i], type, used)) {
       continue;
     }
     class_seen[pricing_class] = true;
@@ -63,8 +74,11 @@ ArgmaxResult ScanCandidates(const std::vector<const TaskInfo*>& pool, PackScratc
     if (best.candidate < 0 || tnrp > best.tnrp) {
       best.candidate = static_cast<int>(i);
       best.tnrp = tnrp;
+      best.live_position = kept;
     }
+    live[kept++] = i;
   }
+  live.resize(kept);
   return best;
 }
 
@@ -85,9 +99,10 @@ void PackByReservationPriceInto(const SchedulingContext& context,
   // dominated its allocation profile.
   ScratchLease<PackScratch> scratch;
   std::vector<bool>& assigned = scratch->assigned;
-  std::vector<bool>& in_tentative_set = scratch->in_tentative_set;
   std::vector<const TaskInfo*>& members = scratch->members;
   std::vector<std::size_t>& member_indices = scratch->member_indices;
+  std::vector<std::size_t>& type_slots = scratch->type_slots;
+  std::vector<std::size_t>& live = scratch->live;
   assigned.assign(pool.size(), false);
   std::vector<int>& classes = scratch->classes;
   classes.resize(pool.size());
@@ -105,16 +120,22 @@ void PackByReservationPriceInto(const SchedulingContext& context,
     if (num_assigned == pool.size()) {
       break;
     }
-    // Marks pool members tentatively placed on the instance being filled,
-    // so the argmax never re-selects a task already in T.
-    in_tentative_set.assign(pool.size(), false);
+    type_slots.clear();
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (!assigned[i] && Fits(*pool[i], type, ResourceVector())) {
+        type_slots.push_back(i);
+      }
+    }
     while (true) {
       // Open a tentative instance of this type and fill it greedily.
       members.clear();
       member_indices.clear();
       ResourceVector used;
       Money best_set_tnrp = 0.0;
-      std::fill(in_tentative_set.begin(), in_tentative_set.end(), false);
+      type_slots.erase(std::remove_if(type_slots.begin(), type_slots.end(),
+                                      [&](std::size_t i) { return assigned[i]; }),
+                       type_slots.end());
+      live.assign(type_slots.begin(), type_slots.end());
 
       while (true) {
         // Pick the unassigned, fitting task that maximizes TNRP(T + {tau}).
@@ -128,7 +149,7 @@ void PackByReservationPriceInto(const SchedulingContext& context,
         const auto chosen = static_cast<std::size_t>(best.candidate);
         members.push_back(pool[chosen]);
         member_indices.push_back(chosen);
-        in_tentative_set[chosen] = true;
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(best.live_position));
         used += pool[chosen]->DemandFor(type.family);
         best_set_tnrp = best.tnrp;
       }

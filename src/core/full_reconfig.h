@@ -80,6 +80,10 @@ class ConfigAppender {
 // layering Partial Reconfiguration add them. Leftover tasks the greedy could
 // not place are appended to `unassigned` when non-null (always empty with
 // assign_leftovers_standalone; silently left pending otherwise).
+// Precondition: every demand component is finite and non-negative (the
+// trace loaders reject anything else). The argmax drops a candidate from an
+// instance once it fails to fit, which is exact only because an instance's
+// used capacity never shrinks as members join.
 void PackByReservationPriceInto(const SchedulingContext& context,
                                 const TnrpCalculator& calculator,
                                 std::vector<const TaskInfo*>& pool,

@@ -22,7 +22,7 @@
 // plus an auto-escalation policy; small traces (the golden-pinned
 // evaluation paths, which require bit-identical configurations) stay on
 // exact Algorithm 1, where the exact fast path is the unchanged-round memo
-// plus the memoized TNRP caches.
+// plus the memoized set-TNRP cache.
 
 #ifndef SRC_CORE_INCREMENTAL_RECONFIG_H_
 #define SRC_CORE_INCREMENTAL_RECONFIG_H_

@@ -3,7 +3,9 @@
 // Trace and registry exports are diffed byte-for-byte by the determinism
 // tests, so every number must format identically across runs, platforms and
 // pool sizes: integers (the overwhelmingly common case — counters, ids,
-// event counts) print as integers, everything else through one fixed %.9g.
+// event counts) print as integers, everything else through one fixed %.17g,
+// which round-trips every double, so a bench pin that compares printed
+// values compares them exactly.
 
 #ifndef SRC_OBS_JSON_UTIL_H_
 #define SRC_OBS_JSON_UTIL_H_
@@ -29,7 +31,7 @@ inline void AppendJsonNumber(std::string* out, double value) {
     std::snprintf(buf, sizeof(buf), "%" PRId64,
                   static_cast<std::int64_t>(value));
   } else {
-    std::snprintf(buf, sizeof(buf), "%.9g", value);
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
   }
   out->append(buf);
 }

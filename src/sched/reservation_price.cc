@@ -34,13 +34,6 @@ std::uint64_t BitsOf(double value) {
 
 }  // namespace
 
-std::size_t TnrpCalculator::TnrpKeyHash::operator()(const TnrpKey& key) const {
-  const std::size_t seed = HashCombine(static_cast<std::size_t>(key.pricing_class),
-                                       static_cast<std::size_t>(key.family) + 0x7f +
-                                           (static_cast<std::size_t>(key.count) << 8));
-  return HashCombine(seed, static_cast<std::size_t>(key.packed));
-}
-
 std::size_t TnrpCalculator::SetHashSeed(int family) {
   return HashCombine(0x5e74c0de, static_cast<std::size_t>(family) + 0x7f);
 }
@@ -91,11 +84,8 @@ void TnrpCalculator::Rebind(const SchedulingContext& context,
   }
   GrowRpFlat();
   if (catalog_changed || estimator_changed) {
-    // TNRP values embed both RPs (catalog-derived) and throughput estimates;
+    // Set TNRPs embed both RPs (catalog-derived) and throughput estimates;
     // version stamps only track mutations of the *same* estimator object.
-    for (TnrpShard& shard : tnrp_shards_) {
-      shard.Clear();
-    }
     for (SetShard& shard : set_shards_) {
       shard.cache.Clear();
       shard.blob.clear();
@@ -103,16 +93,11 @@ void TnrpCalculator::Rebind(const SchedulingContext& context,
   }
   // Memory aging for long traces: entries for retired tasks (and version-
   // invalidated estimates) are never evicted individually, so on 100k-job
-  // runs the memo maps would grow with the whole trace. Dropping a shard
+  // runs the set memo would grow with the whole trace. Dropping a shard
   // that outgrows the bound keeps memory O(working set); caches only affect
   // speed, never values, so results are unchanged — and the bound is
   // deterministic, so the decision trajectory stays reproducible.
   constexpr std::size_t kMaxCachedEntriesPerShard = std::size_t{1} << 16;
-  for (TnrpShard& shard : tnrp_shards_) {
-    if (shard.size() > kMaxCachedEntriesPerShard) {
-      shard.Clear();
-    }
-  }
   for (SetShard& shard : set_shards_) {
     if (shard.cache.size() > kMaxCachedEntriesPerShard) {
       shard.cache.Clear();
@@ -205,29 +190,6 @@ Money TnrpCalculator::ComputeTnrp(const TaskInfo& task,
   return rp - static_cast<double>(job_size) * (1.0 - tput) * rp;
 }
 
-Money TnrpCalculator::TaskTnrpOne(const TaskInfo& task, const TaskInfo& partner,
-                                  std::optional<InstanceFamily> family) const {
-  // Mirrors TaskTnrp's operation sequence exactly; see that function.
-  const double speedup = family.has_value() ? task.SpeedupOn(*family) : 1.0;
-  const RpEntry entry = RpEntryFor(task);
-  return TaskTnrpOneImpl(task, partner, entry.rp * speedup, entry.job_size);
-}
-
-Money TnrpCalculator::TaskTnrpOneImpl(const TaskInfo& task, const TaskInfo& partner,
-                                      Money rp, int job_size) const {
-  if (!options_.interference_aware) {
-    return rp;
-  }
-  // Audited exception to the ScratchLease rule: this is the hottest TNRP
-  // leaf (every pairwise fold), the buffer is written immediately before
-  // its only use, and no call between the write and ComputeTnrp can re-enter
-  // this function on the same thread — so a plain thread_local cannot be
-  // clobbered mid-use here.
-  thread_local std::vector<WorkloadId> one(1);
-  one[0] = partner.workload;
-  return ComputeTnrp(task, one, rp, job_size);
-}
-
 Money TnrpCalculator::TaskTnrp(const TaskInfo& task,
                                const std::vector<const TaskInfo*>& partners,
                                std::optional<InstanceFamily> family) const {
@@ -237,53 +199,26 @@ Money TnrpCalculator::TaskTnrp(const TaskInfo& task,
   if (!options_.interference_aware || partners.empty()) {
     return rp;
   }
-  if (partners.size() == 1) {
-    // Single-partner TNRP: the pairwise-grid estimate is cheaper than the
-    // memo probe it would otherwise pay for; values are identical (the
-    // memoized entry stores exactly this computation's result). The shared
-    // impl reuses the RP entry this function already fetched.
-    return TaskTnrpOneImpl(task, *partners.front(), rp, entry.job_size);
-  }
-  // Memoized path: the value is a pure function of (pricing class, partner
-  // workload sequence, family) given the estimator's current estimates for
-  // the class's workload, which the row version captures. The key preserves
-  // the caller's partner ORDER (see TnrpKey); recurring call sites present
-  // partners in stable orders, so ordered keys still hit. The workload
-  // scratch is leased per (thread, depth): nothing allocates on a hit.
+  // The partner workloads in caller order: floating-point folds over the
+  // partners are order-sensitive. Leased per (thread, depth), so nothing
+  // allocates in steady state.
   ScratchLease<WorkloadScratch> workload_scratch;
   std::vector<WorkloadId>& partner_workloads = workload_scratch->workloads;
   partner_workloads.clear();
-  partner_workloads.reserve(partners.size());
-  TnrpKey key;
-  key.pricing_class = entry.pricing_class;
-  key.family = family.has_value() ? static_cast<int>(*family) : -1;
-  key.count = static_cast<std::uint32_t>(partners.size());
-  bool packable = partners.size() <= kMaxPackedPartners;
   for (const TaskInfo* partner : partners) {
     partner_workloads.push_back(partner->workload);
-    packable = packable && partner->workload >= 0 && partner->workload < kMaxPackedWorkload;
-    key.packed = (key.packed << 7) | static_cast<std::uint64_t>(partner->workload & 0x7f);
   }
-  if (!packable) {
-    // Outside the packed-key envelope: compute uncached, identical value.
-    return ComputeTnrp(task, partner_workloads, rp, entry.job_size);
-  }
-  const ThroughputEstimator* throughput = estimator();
-  const std::uint64_t row_version =
-      throughput != nullptr ? throughput->RowVersion(task.workload) : 0;
+  return ComputeTnrp(task, partner_workloads, rp, entry.job_size);
+}
 
-  // Any partition works; values are unaffected.
-  const std::size_t key_hash = TnrpKeyHash()(key);
-  TnrpShard& shard = tnrp_shards_[key_hash % kNumShards];
-  const TnrpEntry* cached = shard.Find(key, key_hash);
-  if (cached != nullptr && cached->row_version == row_version) {
-    ++cache_stats_.tnrp_hits;
-    return cached->value;
-  }
-  ++cache_stats_.tnrp_misses;
-  const Money value = ComputeTnrp(task, partner_workloads, rp, entry.job_size);
-  shard.Upsert(key, key_hash, [&] { return key; }) = {value, row_version};
-  return value;
+Money TnrpCalculator::PairTnrp(const TaskInfo& first, const TaskInfo& second,
+                               std::optional<InstanceFamily> family) const {
+  ScratchLease<TaskPtrScratch> partner_scratch;
+  std::vector<const TaskInfo*>& partner = partner_scratch->ptrs;
+  partner.assign(1, &second);
+  const Money first_tnrp = TaskTnrp(first, partner, family);
+  partner[0] = &first;
+  return first_tnrp + TaskTnrp(second, partner, family);
 }
 
 Money TnrpCalculator::ComputeSetTnrp(const std::vector<const TaskInfo*>& tasks,
@@ -341,13 +276,11 @@ Money TnrpCalculator::SetTnrp(const std::vector<const TaskInfo*>& tasks,
     return tasks.empty() ? 0.0 : TaskTnrp(*tasks.front(), {}, family);
   }
   if (tasks.size() == 2) {
-    // Pair sets — the packing's bread and butter — fold directly off the
-    // pairwise grid, skipping the set cache (same member order, same sum).
-    return TaskTnrpOne(*tasks[0], *tasks[1], family) +
-           TaskTnrpOne(*tasks[1], *tasks[0], family);
+    // Pair sets — the packing's bread and butter — skip the set cache.
+    return PairTnrp(*tasks[0], *tasks[1], family);
   }
-  // Ordered key, for the same bit-exactness reason as TaskTnrp's: the sum
-  // over members is folded in presentation order.
+  // Ordered key (see SetKey): the sum over members is folded in
+  // presentation order.
   const ThroughputEstimator* throughput = estimator();
   ScratchLease<SetKey> key_lease;
   SetKey& key = *key_lease;
@@ -374,10 +307,7 @@ Money TnrpCalculator::SetTnrpPlusOne(const std::vector<const TaskInfo*>& members
     return TaskTnrp(candidate, {}, family);
   }
   if (members.size() == 1) {
-    // {member, candidate}: same fold order as ComputeSetTnrp on the joined
-    // set, directly off the pairwise grid.
-    return TaskTnrpOne(*members[0], candidate, family) +
-           TaskTnrpOne(candidate, *members[0], family);
+    return PairTnrp(*members[0], candidate, family);
   }
   const ThroughputEstimator* throughput = estimator();
   ScratchLease<SetKey> key_lease;

@@ -12,14 +12,16 @@
 //
 // TNRP depends on a task only through its pricing class: its workload, job
 // size, RP and per-family speedups — not its id and not its demands beyond
-// the RP they yield. The calculator memoizes by class so the scheduling
-// decision path can be delta-incremental across rounds and share work
-// across tasks:
+// the RP they yield. The calculator caches what is expensive or recurs so
+// the scheduling decision path can be delta-incremental across rounds and
+// share work across tasks:
 //   * RP, job size and the interned pricing class are cached per task id
 //     (demands and speedups are immutable per id);
-//   * TNRP is cached per (pricing class, family, caller-order partner
-//     workloads), stamped with the throughput estimator's row version at
-//     compute time — entries invalidate themselves exactly when new
+//   * a task's TNRP is computed on every call: one throughput estimate and
+//     a few multiplies, cheaper than a memo probe;
+//   * set TNRPs of three or more members are memoized per caller-order
+//     class sequence and family, stamped with the members' estimator row
+//     versions — entries invalidate themselves exactly when new
 //     observations change the estimates they were derived from.
 // Rebind() points a long-lived calculator at the next round's context while
 // keeping the caches. A calculator is not thread-safe: every pricing call
@@ -58,8 +60,6 @@ class TnrpCalculator {
   struct CacheStats {
     std::uint64_t rp_hits = 0;
     std::uint64_t rp_misses = 0;
-    std::uint64_t tnrp_hits = 0;
-    std::uint64_t tnrp_misses = 0;
     std::uint64_t set_hits = 0;
     std::uint64_t set_misses = 0;
   };
@@ -99,11 +99,11 @@ class TnrpCalculator {
                  std::optional<InstanceFamily> family = std::nullopt) const;
 
   // TNRP of a set of tasks placed together: sum of per-task TNRP where each
-  // member's partners are the members at every other position. Memoized at
-  // set granularity (keyed on the caller-order pricing-class sequence +
-  // family, stamped with the members' row versions) on top of the TNRP
-  // memo, so the packing's repeated evaluations of recurring compositions
-  // cost one hash lookup, whichever tasks make them up.
+  // member's partners are the members at every other position. Sets of
+  // three or more are memoized (keyed on the caller-order pricing-class
+  // sequence + family, stamped with the members' row versions), so the
+  // packing's repeated evaluations of recurring compositions cost one hash
+  // lookup, whichever tasks make them up.
   Money SetTnrp(const std::vector<const TaskInfo*>& tasks,
                 std::optional<InstanceFamily> family = std::nullopt) const;
 
@@ -121,49 +121,16 @@ class TnrpCalculator {
   const CacheStats& cache_stats() const { return cache_stats_; }
 
  private:
-  // The TNRP and set memos are each split over kNumShards tables, for
-  // memory rather than for concurrency. A FlatMemoMap (and a set shard's
-  // class blob) doubles when it grows, holding the old and new storage
-  // alive together during the copy; split 16 ways, each doubling moves
-  // about a sixteenth of the memo. The per-shard size bound in Rebind
-  // likewise ages a sixteenth at a time. Shards are picked by key hash:
-  // class ids are few and skewed, so picking by class would crowd a few
-  // shards.
+  // The set memo is split over kNumShards tables, for memory rather than
+  // for concurrency. A FlatMemoMap (and a shard's class blob) doubles when
+  // it grows, holding the old and new storage alive together during the
+  // copy; split 16 ways, each doubling moves about a sixteenth of the memo.
+  // The per-shard size bound in Rebind likewise ages a sixteenth at a time.
+  // Shards are picked by key hash: class ids are few and skewed, so picking
+  // by class would crowd a few shards. Each shard is a flat open-addressing
+  // table, lookup-only (never iterated), so the layout cannot affect any
+  // value or order the scheduler produces.
   static constexpr std::size_t kNumShards = 16;
-
-  // Partner workloads are packed 7 bits each (Table 7's universe is ten
-  // ids) into one word, *in caller order* — NOT canonicalized: floating-
-  // point folds over the partners are order-sensitive, and cached values
-  // must reproduce an uncached evaluation of the same call bit-for-bit.
-  // The packing is injective for <= kMaxPackedPartners partners with ids
-  // < 128; calls outside that envelope compute uncached (identical values,
-  // no memo). POD keys keep probes at integer hash/compare cost and make
-  // stored entries allocation-free.
-  static constexpr std::size_t kMaxPackedPartners = 8;
-  static constexpr WorkloadId kMaxPackedWorkload = 128;
-
-  // TNRP memo key: the priced task's class, not its id, so every task of
-  // a class shares the entry.
-  struct TnrpKey {
-    std::int32_t pricing_class = -1;
-    std::int32_t family = -1;  // -1 encodes "no family given".
-    std::uint32_t count = 0;
-    std::uint64_t packed = 0;
-
-    bool operator==(const TnrpKey& other) const {
-      return pricing_class == other.pricing_class && family == other.family &&
-             count == other.count && packed == other.packed;
-    }
-  };
-
-  struct TnrpKeyHash {
-    std::size_t operator()(const TnrpKey& key) const;
-  };
-
-  struct TnrpEntry {
-    Money value = 0.0;
-    std::uint64_t row_version = 0;  // Estimator row version at compute time.
-  };
 
   // RP, job size and pricing class are all immutable per task id, so they
   // share a cache entry (job size feeds the §4.4 multi-task term without
@@ -180,15 +147,10 @@ class TnrpCalculator {
   using ClassKey = std::tuple<WorkloadId, int, std::uint64_t,
                               std::array<std::uint64_t, kNumInstanceFamilies>>;
 
-  // Memo shards live in flat open-addressing tables (FlatMemoMap): the
-  // node-based unordered_maps they replace allocated on every miss — the
-  // single largest allocation source of the 10k/50k sweep. The tables are
-  // lookup-only (never iterated), so the layout change cannot affect any
-  // value or order the scheduler produces.
-  using TnrpShard = FlatMemoMap<TnrpKey, TnrpEntry, TnrpKeyHash>;
-
-  // Set memo key: the members' pricing classes in caller order (see
-  // TnrpKey), candidate last.
+  // Set memo key: the members' pricing classes in caller order, candidate
+  // last — NOT canonicalized: the sum over members is folded in caller
+  // order, and a cached value must reproduce an uncached evaluation of the
+  // same call bit for bit.
   struct SetKey {
     std::size_t hash = 0;  // Precomputed at key build; the map hash is O(1).
     int family = -1;
@@ -259,17 +221,10 @@ class TnrpCalculator {
   Money ComputeReservationPrice(const TaskInfo& task) const;
   std::int32_t InternClass(const TaskInfo& task, const RpEntry& entry) const;
 
-  // TNRP of `task` co-located with exactly one partner, computed directly:
-  // with the estimator's dense pairwise grid this is cheaper than probing
-  // the TNRP memo, and bit-identical to what a memoized evaluation returns
-  // (same ComputeTnrp call a cache miss would make).
-  Money TaskTnrpOne(const TaskInfo& task, const TaskInfo& partner,
-                    std::optional<InstanceFamily> family) const;
-  // Shared body of TaskTnrpOne and TaskTnrp's single-partner branch; takes
-  // the caller's already-fetched RP and job size so neither path pays a
-  // second RpEntryFor lookup.
-  Money TaskTnrpOneImpl(const TaskInfo& task, const TaskInfo& partner, Money rp,
-                        int job_size) const;
+  // TaskTnrp(first, {second}) + TaskTnrp(second, {first}): the two-member
+  // set, which the set memo skips.
+  Money PairTnrp(const TaskInfo& first, const TaskInfo& second,
+                 std::optional<InstanceFamily> family) const;
   Money ComputeTnrp(const TaskInfo& task, const std::vector<WorkloadId>& partner_workloads,
                     Money rp, int job_size) const;
   Money ComputeSetTnrp(const std::vector<const TaskInfo*>& tasks,
@@ -309,7 +264,6 @@ class TnrpCalculator {
   // Pricing classes interned so far; dropped with the RP cache. Probed
   // only on an RP miss.
   mutable std::map<ClassKey, std::int32_t> classes_;
-  mutable std::array<TnrpShard, kNumShards> tnrp_shards_;
   mutable std::array<SetShard, kNumShards> set_shards_;
   mutable CacheStats cache_stats_;
 };

@@ -31,8 +31,8 @@ class ThroughputEstimator {
   // multiplicity matters). Must return 1.0 when partners is empty.
   virtual double Estimate(WorkloadId w, const std::vector<WorkloadId>& partners) const = 0;
 
-  // Version counters memoizing consumers (TnrpCalculator's TNRP caches) key
-  // their entries on. Version() must change whenever any estimate could
+  // Version counters memoizing consumers (TnrpCalculator's set-TNRP memo)
+  // key their entries on. Version() must change whenever any estimate could
   // change; RowVersion(w) whenever an Estimate(w, ...) could change.
   // Immutable estimators (the oracle, a frozen profile) keep both at 0,
   // which marks cached values as valid forever.
@@ -56,7 +56,7 @@ class ThroughputTable : public ThroughputEstimator {
 
   // Exact-entry access (partners are canonicalized internally). Record
   // returns true when the stored value actually changed — re-recording an
-  // identical observation leaves the versions (and thus downstream TNRP
+  // identical observation leaves the versions (and thus downstream set-TNRP
   // caches) untouched, which is what makes steady-state rounds cheap.
   std::optional<double> Lookup(WorkloadId w, const std::vector<WorkloadId>& partners) const;
   bool Record(WorkloadId w, std::vector<WorkloadId> partners, double throughput);

@@ -1,11 +1,27 @@
 #include "src/workload/job.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "src/common/csv.h"
 
 namespace eva {
+namespace {
+
+// Demands the packing can rely on: every component finite and non-negative
+// (a NaN component would pass every capacity check).
+bool IsValidDemand(const ResourceVector& demand) {
+  for (int r = 0; r < kNumResources; ++r) {
+    const double value = demand.Get(static_cast<Resource>(r));
+    if (!std::isfinite(value) || value < 0.0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 JobSpec JobSpec::FromWorkload(JobId id, SimTime arrival_time_s, WorkloadId workload,
                               SimTime duration_s, int num_tasks) {
@@ -72,7 +88,10 @@ std::optional<Trace> Trace::FromCsv(const std::string& csv, const std::string& n
     } catch (const std::exception&) {
       return std::nullopt;
     }
-    if (job.workload == kInvalidWorkloadId || job.num_tasks < 1 || job.duration_s <= 0.0) {
+    if (job.workload == kInvalidWorkloadId || job.num_tasks < 1 ||
+        !std::isfinite(job.arrival_time_s) || !std::isfinite(job.duration_s) ||
+        job.duration_s <= 0.0 || !IsValidDemand(job.demand_p3) ||
+        !IsValidDemand(job.demand_cpu)) {
       return std::nullopt;
     }
     trace.jobs.push_back(job);

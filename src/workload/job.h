@@ -61,7 +61,9 @@ struct Trace {
   void Normalize();
 
   // CSV round-trip (columns: id, arrival_s, num_tasks, workload, gpu, cpu,
-  // ram, gpu_alt, cpu_alt, ram_alt, duration_s).
+  // ram, gpu_alt, cpu_alt, ram_alt, duration_s). FromCsv rejects the whole
+  // trace on a malformed row: an unknown workload, num_tasks < 1, a
+  // non-finite number, a negative demand component or duration_s <= 0.
   std::string ToCsv() const;
   static std::optional<Trace> FromCsv(const std::string& csv, const std::string& name);
 };

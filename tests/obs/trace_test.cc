@@ -97,7 +97,7 @@ TEST(ObsTraceTest, NumbersFormatDeterministically) {
   const std::uint32_t track = recorder.RegisterTrack("t");
   recorder.Instant(track, "ev", 0.0, "whole", 42.0, "frac", 0.125);
   const std::string json = recorder.ToChromeJson();
-  // Integral doubles print without a trailing ".0"; fractions via %.9g.
+  // Integral doubles print without a trailing ".0"; fractions via %.17g.
   EXPECT_NE(json.find("\"whole\":42"), std::string::npos);
   EXPECT_EQ(json.find("\"whole\":42.0"), std::string::npos);
   EXPECT_NE(json.find("\"frac\":0.125"), std::string::npos);

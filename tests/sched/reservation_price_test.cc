@@ -304,7 +304,7 @@ TEST(TnrpMemoizationPropertyTest, MatchesFreshCalculatorUnderDeltaSequences) {
     }
   }
   // The memoized calculator must actually be memoizing.
-  EXPECT_GT(memoized.cache_stats().tnrp_hits + memoized.cache_stats().set_hits, 0u);
+  EXPECT_GT(memoized.cache_stats().set_hits, 0u);
   EXPECT_TRUE(saw_same_class_distinct_demands);
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "src/common/stats.h"
 
@@ -269,6 +270,46 @@ TEST(TraceCsvTest, RoundTripPreservesJobs) {
 TEST(TraceCsvTest, RejectsGarbage) {
   EXPECT_FALSE(Trace::FromCsv("not,a,trace\n1,2,3\n", "x").has_value());
   EXPECT_FALSE(Trace::FromCsv("", "x").has_value());
+}
+
+// A one-job trace's CSV with column `column` of its row set to `value`.
+std::string CsvWithField(int column, const std::string& value) {
+  Trace trace;
+  trace.name = "one";
+  trace.jobs.push_back(JobSpec::FromWorkload(0, 10.0, 0, 3600.0, 1));
+  const std::string csv = trace.ToCsv();
+  const std::size_t row_start = csv.find('\n') + 1;
+  std::size_t begin = row_start;
+  for (int i = 0; i < column; ++i) {
+    begin = csv.find(',', begin) + 1;
+  }
+  std::size_t end = csv.find_first_of(",\n", begin);
+  if (end == std::string::npos) {
+    end = csv.size();
+  }
+  return csv.substr(0, begin) + value + csv.substr(end);
+}
+
+TEST(TraceCsvTest, AcceptsTheUnmodifiedRow) {
+  EXPECT_TRUE(Trace::FromCsv(CsvWithField(4, "0"), "x").has_value());
+  EXPECT_TRUE(Trace::FromCsv(CsvWithField(10, "60"), "x").has_value());
+}
+
+TEST(TraceCsvTest, RejectsNonFiniteFields) {
+  // arrival_s, gpu, cpu, ram, gpu_alt, cpu_alt, ram_alt, duration_s.
+  for (int column : {1, 4, 5, 6, 7, 8, 9, 10}) {
+    for (const char* value : {"nan", "inf", "-inf"}) {
+      EXPECT_FALSE(Trace::FromCsv(CsvWithField(column, value), "x").has_value())
+          << "column " << column << " = " << value;
+    }
+  }
+}
+
+TEST(TraceCsvTest, RejectsNegativeDemands) {
+  for (int column : {4, 5, 6, 7, 8, 9}) {
+    EXPECT_FALSE(Trace::FromCsv(CsvWithField(column, "-0.5"), "x").has_value())
+        << "column " << column;
+  }
 }
 
 // --- ScaleTrace property tests (the 10k/50k/100k bench scaler) ----------
