@@ -1,20 +1,11 @@
 #include "src/cloud/fault_injector.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "src/common/hash.h"
 
 namespace eva {
 namespace {
-
-// SplitMix64 finalizer (public domain, Steele et al.) — the same stateless
-// mixing SpotMarket uses, so any (seed, kind, entity, step) query is
-// independent of every other.
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 // Kind salts: distinct streams per fault kind so enabling one kind never
 // shifts another's schedule.
@@ -26,44 +17,19 @@ constexpr std::uint64_t kVictimSalt = 0x71c71c71ULL;
 
 }  // namespace
 
-double FaultModel::HashUniform(std::uint64_t salt, std::int64_t entity,
-                               std::int64_t step) const {
-  std::uint64_t h = Mix64(options_.seed ^ salt);
-  h = Mix64(h ^ (static_cast<std::uint64_t>(entity) * 0x100000001b3ULL));
-  h = Mix64(h ^ static_cast<std::uint64_t>(step));
-  // Top 53 bits -> [0, 1), exactly like Rng::NextDouble.
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-std::int64_t FaultModel::StepOf(SimTime t) const {
-  const double step_s = options_.check_period_s;
-  std::int64_t step = static_cast<std::int64_t>(std::floor(std::max(t, 0.0) / step_s));
-  // Round-trip guard (see SpotMarket::StepIndex): (k+1)*step_s may divide
-  // back to just under k+1 for steps without an exact binary representation
-  // — a boundary must belong to the step it opens.
-  if (static_cast<double>(step + 1) * step_s <= t) {
-    ++step;
-  }
-  return step;
-}
-
-SimTime FaultModel::NextStepBoundary(SimTime t) const {
-  return static_cast<double>(StepOf(t) + 1) * options_.check_period_s;
-}
-
 bool FaultModel::ZoneOutageStartsAt(int zone, std::int64_t step) const {
   return options_.enabled &&
-         HashUniform(kZoneOutageSalt, zone, step) < options_.zone_outage_probability;
+         StepUniform(options_.seed, kZoneOutageSalt, zone, step) < options_.zone_outage_probability;
 }
 
 bool FaultModel::CorrelatedFailureAt(int family, std::int64_t step) const {
-  return options_.enabled && HashUniform(kCorrelatedSalt, family, step) <
+  return options_.enabled && StepUniform(options_.seed, kCorrelatedSalt, family, step) <
                                  options_.correlated_failure_probability;
 }
 
 bool FaultModel::DrainStartsAt(int zone, std::int64_t step) const {
   return options_.enabled &&
-         HashUniform(kDrainSalt, zone, step) < options_.drain_probability;
+         StepUniform(options_.seed, kDrainSalt, zone, step) < options_.drain_probability;
 }
 
 bool FaultModel::ZoneDownAt(int zone, SimTime t) const {
@@ -111,9 +77,7 @@ int FaultModel::ClampedCapacity(int capacity, SimTime t) const {
 int FaultModel::ZoneAt(int tenant_id, std::int64_t instance_id,
                        SimTime launch_time) const {
   const int zones = std::max(options_.num_zones, 1);
-  std::uint64_t h = Mix64(options_.seed ^ kZonePickSalt);
-  h = Mix64(h ^ (static_cast<std::uint64_t>(tenant_id) * 0x100000001b3ULL));
-  h = Mix64(h ^ static_cast<std::uint64_t>(instance_id));
+  const std::uint64_t h = StepHash(options_.seed, kZonePickSalt, tenant_id, instance_id);
   // Launch into a zone that is up right now; during a full blackout (every
   // zone down) fall back to the plain spread — the launch itself was
   // already admitted through the capacity clamp.
@@ -135,10 +99,8 @@ int FaultModel::ZoneAt(int tenant_id, std::int64_t instance_id,
 
 std::uint64_t FaultModel::VictimRank(int tenant_id, std::int64_t instance_id,
                                      std::int64_t step) const {
-  std::uint64_t h = Mix64(options_.seed ^ kVictimSalt);
-  h = Mix64(h ^ (static_cast<std::uint64_t>(tenant_id) * 0x100000001b3ULL));
-  h = Mix64(h ^ static_cast<std::uint64_t>(instance_id));
-  return Mix64(h ^ static_cast<std::uint64_t>(step));
+  return Mix64(StepHash(options_.seed, kVictimSalt, tenant_id, instance_id) ^
+               static_cast<std::uint64_t>(step));
 }
 
 }  // namespace eva

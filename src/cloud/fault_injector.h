@@ -9,9 +9,9 @@
 // reproducible, in the style of SpotMarket:
 //
 //   * whether a fault of a given kind fires in step k is a PURE FUNCTION of
-//     (seed, kind, entity, k), computed by integer hashing — no sequential
-//     RNG state, so schedules can be evaluated in any order, from any
-//     thread, by any number of tenants, and always agree bit-for-bit;
+//     (seed, kind, entity, k) — StepHash, the spot market's hash — with no
+//     sequential RNG state, so schedules can be evaluated in any order, from
+//     any thread, by any number of tenants, and always agree bit-for-bit;
 //   * an instance's zone is a pure hash of (tenant, instance id) over the
 //     zones that are up at launch, so placement replays identically;
 //   * the capacity clamp during an outage window (capacity scaled by the
@@ -19,9 +19,10 @@
 //     CloudProvider::TryAcquire can consult it without any event plumbing.
 //
 // The model only *decides*; acting on a decision (killing instances,
-// starting drains) is the simulator's job, driven by kFaultCheck events at
-// step boundaries. Everything is gated behind `enabled` (default off), so a
-// fault-free run never consults the model and stays bit-exact.
+// starting drains) is MarketEvents' job (src/sim/market_events.h), driven
+// by kFaultCheck events at step boundaries. Everything is gated behind
+// `enabled` (default off), so a fault-free run never consults the model and
+// stays bit-exact.
 
 #ifndef SRC_CLOUD_FAULT_INJECTOR_H_
 #define SRC_CLOUD_FAULT_INJECTOR_H_
@@ -71,16 +72,17 @@ struct FaultInjectorOptions {
 
 class FaultModel {
  public:
-  explicit FaultModel(FaultInjectorOptions options) : options_(options) {}
+  explicit FaultModel(FaultInjectorOptions options)
+      : options_(options), clock_{options.check_period_s} {}
 
   const FaultInjectorOptions& options() const { return options_; }
   bool enabled() const { return options_.enabled; }
 
-  // The fault step containing t (with the same float round-trip guard as
-  // SpotMarket: a boundary timestamp belongs to the step it opens), and the
-  // earliest boundary strictly after t — where the next kFaultCheck fires.
-  std::int64_t StepOf(SimTime t) const;
-  SimTime NextStepBoundary(SimTime t) const;
+  // The fault step containing t (a boundary timestamp belongs to the step
+  // it opens; see StepClock), and the earliest boundary strictly after t —
+  // where the next kFaultCheck fires.
+  std::int64_t StepOf(SimTime t) const { return clock_.StepOf(t); }
+  SimTime NextStepBoundary(SimTime t) const { return clock_.NextStepBoundary(t); }
 
   // --- Fault schedules: pure in (seed, kind, entity, step) ---------------
   bool ZoneOutageStartsAt(int zone, std::int64_t step) const;
@@ -109,10 +111,8 @@ class FaultModel {
                            std::int64_t step) const;
 
  private:
-  // Uniform in [0, 1), pure in (seed, salt, entity, step).
-  double HashUniform(std::uint64_t salt, std::int64_t entity, std::int64_t step) const;
-
   FaultInjectorOptions options_;
+  StepClock clock_;
 };
 
 }  // namespace eva

@@ -7,35 +7,15 @@
 
 namespace eva {
 
-std::int64_t CloudProviderMetrics::TotalGranted() const {
+std::int64_t CloudProviderMetrics::Total(std::int64_t Family::*field) const {
   std::int64_t total = 0;
   for (const Family& family : families) {
-    total += family.granted;
-  }
-  return total;
-}
-
-std::int64_t CloudProviderMetrics::TotalDenied() const {
-  std::int64_t total = 0;
-  for (const Family& family : families) {
-    total += family.denied;
-  }
-  return total;
-}
-
-std::int64_t CloudProviderMetrics::TotalPreempted() const {
-  std::int64_t total = 0;
-  for (const Family& family : families) {
-    total += family.preempted;
+    total += family.*field;
   }
   return total;
 }
 
 namespace {
-
-// Freed live-acquire arena slots hold this sentinel; real acquire times are
-// always >= 0, so occupied and free slots can never be confused.
-constexpr SimTime kFreeAcquireSlot = -1.0;
 
 // The one copy of the tier layout: base types verbatim, then one "-spot"
 // twin per type (same family/capacity) priced by `spot_price(index, base
@@ -55,20 +35,18 @@ std::vector<InstanceType> TieredTypes(const InstanceCatalog& base,
   return types;
 }
 
-// Max overlap of the closed intervals {[s, e]} ∪ {[a, ∞)}: sorted sweep,
-// starts before ends at equal times. Order-independent by construction —
-// the inputs are treated as multisets.
-int SweptPeak(std::vector<std::pair<SimTime, SimTime>> lifetimes,
-              std::vector<SimTime> live_acquires) {
+// Max overlap of the closed intervals {[s, e]}: sorted sweep, starts before
+// ends at equal times. Order-independent by construction — the input is
+// treated as a multiset.
+int SweptPeak(const std::vector<std::pair<SimTime, SimTime>>& lifetimes) {
   std::vector<SimTime> starts;
   std::vector<SimTime> ends;
-  starts.reserve(lifetimes.size() + live_acquires.size());
+  starts.reserve(lifetimes.size());
   ends.reserve(lifetimes.size());
   for (const auto& [start, end] : lifetimes) {
     starts.push_back(start);
     ends.push_back(std::max(end, start));
   }
-  starts.insert(starts.end(), live_acquires.begin(), live_acquires.end());
   std::sort(starts.begin(), starts.end());
   std::sort(ends.begin(), ends.end());
   int current = 0;
@@ -151,16 +129,13 @@ std::shared_ptr<const InstanceCatalog> CloudProvider::SharedQuoteCatalog(
   return snapshot;
 }
 
-bool CloudProvider::TryAcquire(int type_index, SimTime now, std::int64_t* slot) {
+bool CloudProvider::TryAcquire(int type_index, SimTime now) {
   const auto family = static_cast<std::size_t>(FamilyOf(type_index));
   const int capacity = options_.family_capacity[family];
   // Windowed outage clamp: a pure function of time, so it is computed
   // outside the shard lock and agrees across tenants and threads.
   const int effective =
       fault_model_.enabled() ? fault_model_.ClampedCapacity(capacity, now) : capacity;
-  if (slot != nullptr) {
-    *slot = -1;
-  }
   FamilyShard& shard = shards_[family];
   std::lock_guard<std::mutex> lock(shard.mutex);
   if (capacity >= 0 && shard.in_use >= effective) {
@@ -174,55 +149,17 @@ bool CloudProvider::TryAcquire(int type_index, SimTime now, std::int64_t* slot) 
   ++shard.granted;
   if (capacity >= 0) {
     shard.peak_in_use = std::max(shard.peak_in_use, shard.in_use);
-  } else {
-    // Slot arena: reuse a freed index when one exists, grow otherwise. The
-    // returned ticket makes the matching Release O(1).
-    std::int64_t index;
-    if (!shard.live_free.empty()) {
-      index = shard.live_free.back();
-      shard.live_free.pop_back();
-      shard.live_acquires[static_cast<std::size_t>(index)] = now;
-    } else {
-      index = static_cast<std::int64_t>(shard.live_acquires.size());
-      shard.live_acquires.push_back(now);
-    }
-    if (slot != nullptr) {
-      *slot = index;
-    }
   }
   return true;
 }
 
-void CloudProvider::Release(int type_index, SimTime acquired_at, SimTime now,
-                            std::int64_t slot) {
-  const auto family = static_cast<std::size_t>(FamilyOf(type_index));
-  const int capacity = options_.family_capacity[family];
-  FamilyShard& shard = shards_[family];
+void CloudProvider::Release(int type_index, SimTime acquired_at, SimTime now) {
+  FamilyShard& shard = shards_[static_cast<std::size_t>(FamilyOf(type_index))];
   std::lock_guard<std::mutex> lock(shard.mutex);
+  EVA_CHECK(shard.in_use > 0, "provider release without a live grant");
   --shard.in_use;
   ++shard.released;
   shard.lifetimes.emplace_back(acquired_at, now);
-  if (capacity < 0) {
-    if (slot >= 0) {
-      // Ticketed release: O(1) — the federation hot path.
-      const auto index = static_cast<std::size_t>(slot);
-      EVA_CHECK(index < shard.live_acquires.size() &&
-                    shard.live_acquires[index] == acquired_at,
-                "provider release ticket does not match its acquire record");
-      shard.live_acquires[index] = kFreeAcquireSlot;
-      shard.live_free.push_back(slot);
-    } else {
-      // Ticketless fallback (direct callers): linear scan for the matching
-      // acquire time; freed slots hold the sentinel and can never match.
-      auto it = std::find(shard.live_acquires.begin(), shard.live_acquires.end(),
-                          acquired_at);
-      EVA_CHECK(it != shard.live_acquires.end(),
-                "provider release without matching acquire record");
-      *it = kFreeAcquireSlot;
-      shard.live_free.push_back(
-          static_cast<std::int64_t>(it - shard.live_acquires.begin()));
-    }
-  }
 }
 
 void CloudProvider::RecordPreemption(int type_index) {
@@ -262,21 +199,10 @@ CloudProviderMetrics CloudProvider::FinalizeMetrics(SimTime horizon) const {
       instance_seconds += std::max(end - start, 0.0);
     }
     out.instance_hours = SecondsToHours(instance_seconds);
-    if (out.capacity >= 0) {
-      out.peak_in_use = shard.peak_in_use;
-    } else {
-      // Unlimited pools grant concurrently, so a running max would depend
-      // on thread interleaving; sweep the (multiset-deterministic) interval
-      // records instead. Only occupied arena slots are open intervals.
-      std::vector<SimTime> live;
-      live.reserve(shard.live_acquires.size() - shard.live_free.size());
-      for (const SimTime acquired : shard.live_acquires) {
-        if (acquired >= 0.0) {
-          live.push_back(acquired);
-        }
-      }
-      out.peak_in_use = SweptPeak(sorted, std::move(live));
-    }
+    // Unlimited pools grant concurrently, so their running max would depend
+    // on thread interleaving; sweep the (multiset-deterministic) lifetimes
+    // instead.
+    out.peak_in_use = out.capacity >= 0 ? shard.peak_in_use : SweptPeak(sorted);
     if (out.capacity > 0 && horizon > 0.0) {
       out.avg_utilization = instance_seconds / (static_cast<double>(out.capacity) * horizon);
     }

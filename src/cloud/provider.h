@@ -70,6 +70,18 @@ struct CloudProviderOptions {
   FaultInjectorOptions faults;
 };
 
+// `provider` with the simulator's fault schedule when that is on: a provider
+// must clamp capacity off the same schedule its tenants kill instances from.
+// Per-simulator providers and the federation's shared one both build their
+// options here.
+inline CloudProviderOptions MergedProviderOptions(CloudProviderOptions provider,
+                                                  const FaultInjectorOptions& faults) {
+  if (faults.enabled) {
+    provider.faults = faults;
+  }
+  return provider;
+}
+
 // Provider-level accounting across all tenants.
 struct CloudProviderMetrics {
   struct Family {
@@ -90,9 +102,12 @@ struct CloudProviderMetrics {
 
   std::array<Family, kNumInstanceFamilies> families;
 
-  std::int64_t TotalGranted() const;
-  std::int64_t TotalDenied() const;
-  std::int64_t TotalPreempted() const;
+  std::int64_t TotalGranted() const { return Total(&Family::granted); }
+  std::int64_t TotalDenied() const { return Total(&Family::denied); }
+  std::int64_t TotalPreempted() const { return Total(&Family::preempted); }
+
+ private:
+  std::int64_t Total(std::int64_t Family::*field) const;
 };
 
 class CloudProvider {
@@ -122,11 +137,6 @@ class CloudProvider {
   }
 
   const SpotMarket& market() const { return market_; }
-
-  // The fault schedule shared by the capacity clamp and the simulator's
-  // kill/drain events. Pure in its options, so a simulator-side FaultModel
-  // constructed from the same options agrees with it bit-for-bit.
-  const FaultModel& faults() const { return fault_model_; }
 
   // Bit f set <=> family f's pool is finite. Only finite families can make
   // two tenants conflict (an unlimited pool grants unconditionally and its
@@ -167,20 +177,12 @@ class CloudProvider {
   // may run concurrently. During a zone outage window,
   // finite capacity is clamped by the down-zone fraction, so admission
   // denies into the outage even with nominal headroom.
-  //
-  // `slot` (optional) receives the grant's release ticket: an index into
-  // the unlimited pool's live-acquire arena (-1 for finite pools and
-  // denials). Passing it back to Release makes the release O(1); callers
-  // that drop it fall back to a linear scan.
-  bool TryAcquire(int type_index, SimTime now, std::int64_t* slot = nullptr);
+  bool TryAcquire(int type_index, SimTime now);
 
   // Returns the slot and records the uptime. Thread-safe; commutative, so
   // concurrent releases from an unlimited-pool federation's tenants are
-  // deterministic in effect. `slot` is the ticket TryAcquire returned
-  // (unlimited pools; O(1) free) or -1 (linear fallback — direct callers
-  // without ticket plumbing).
-  void Release(int type_index, SimTime acquired_at, SimTime now,
-               std::int64_t slot = -1);
+  // deterministic in effect. Fails when the family has no live grant.
+  void Release(int type_index, SimTime acquired_at, SimTime now);
 
   // Counts a preemption warning. Thread-safe.
   void RecordPreemption(int type_index);
@@ -196,6 +198,12 @@ class CloudProvider {
   // sorted interval sweep over lifetimes for unlimited pools (whose grants
   // may interleave across threads; ties count a start before an end, so
   // touching intervals overlap).
+  //
+  // Contract: call it once every instance is released. Instance-hours and
+  // the unlimited-pool peak are built from released lifetimes only, so a
+  // still-live instance counts in neither. Simulator::Finish releases
+  // whatever a tenant still holds, and RunFederation finalizes after every
+  // tenant's Finish.
   CloudProviderMetrics FinalizeMetrics(SimTime horizon) const;
 
  private:
@@ -226,14 +234,6 @@ class CloudProvider {
     // Released-instance lifetimes, in arrival order (nondeterministic under
     // concurrency); FinalizeMetrics sorts before folding.
     std::vector<std::pair<SimTime, SimTime>> lifetimes;
-    // Acquire times of still-live instances — maintained only for unlimited
-    // pools, where the peak sweep needs open intervals too. A slot arena:
-    // TryAcquire hands out an index (reusing `live_free` slots first) and
-    // Release frees it in O(1); freed slots hold kFreeAcquireSlot. The
-    // occupied values form a multiset — slot numbering is interleaving-
-    // dependent, but nothing downstream reads it (the peak sweep sorts).
-    std::vector<SimTime> live_acquires;
-    std::vector<std::int64_t> live_free;
   };
   std::array<FamilyShard, kNumInstanceFamilies> shards_;
 

@@ -1,76 +1,22 @@
 #include "src/cloud/spot_market.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "src/common/hash.h"
 
 namespace eva {
-namespace {
-
-// SplitMix64 finalizer (public domain, Steele et al.) — the same mixing the
-// Rng seeder uses, applied here as a stateless hash so any (seed, type,
-// step) query is independent of every other.
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 SpotMarket::SpotMarket(const InstanceCatalog& base, SpotMarketOptions options)
-    : base_(base), options_(options) {}
-
-double SpotMarket::HashUniform(int base_type, std::int64_t step,
-                               std::uint64_t salt) const {
-  std::uint64_t h = Mix64(options_.seed ^ salt);
-  h = Mix64(h ^ (static_cast<std::uint64_t>(base_type) * 0x100000001b3ULL));
-  h = Mix64(h ^ static_cast<std::uint64_t>(step));
-  // Top 53 bits -> [0, 1), exactly like Rng::NextDouble.
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
-std::int64_t SpotMarket::StepIndex(SimTime t) const {
-  const double step_s = options_.price_step_s;
-  std::int64_t step = static_cast<std::int64_t>(std::floor(std::max(t, 0.0) / step_s));
-  // Round-trip guard (see header): (k+1)*step_s may divide back to just
-  // under k+1 for steps without an exact binary representation.
-  if (static_cast<double>(step + 1) * step_s <= t) {
-    ++step;
-  }
-  return step;
-}
+    : base_(base), options_(options), clock_{options.price_step_s} {}
 
 double SpotMarket::FractionForStep(int base_type, std::int64_t step) const {
-  if (HashUniform(base_type, step, /*salt=*/0x51c3u) < options_.spike_probability) {
+  if (StepUniform(options_.seed, /*salt=*/0x51c3u, base_type, step) <
+      options_.spike_probability) {
     return options_.spike_price_fraction;
   }
-  const double u = HashUniform(base_type, step, /*salt=*/0xf4acu);
+  const double u = StepUniform(options_.seed, /*salt=*/0xf4acu, base_type, step);
   return options_.min_price_fraction +
          (options_.max_price_fraction - options_.min_price_fraction) * u;
-}
-
-double SpotMarket::PriceFraction(int base_type, SimTime t) const {
-  return FractionForStep(base_type, StepIndex(t));
-}
-
-Money SpotMarket::Quote(int base_type, SimTime t) const {
-  return base_.Get(base_type).cost_per_hour * PriceFraction(base_type, t);
-}
-
-Money SpotMarket::QuoteAtStep(int base_type, std::int64_t step) const {
-  return base_.Get(base_type).cost_per_hour * FractionForStep(base_type, step);
-}
-
-bool SpotMarket::IsPreempting(int base_type, SimTime t) const {
-  return PriceFraction(base_type, t) >=
-         options_.preemption_price_fraction - 1e-12;
-}
-
-SimTime SpotMarket::NextStepBoundary(SimTime t) const {
-  // StepIndex's round-trip guard ensures (step + 1) * step_s > t: a t
-  // sitting exactly on a boundary already counts as the opened step.
-  return static_cast<double>(StepIndex(t) + 1) * options_.price_step_s;
 }
 
 Money SpotMarket::CostForInterval(int base_type, SimTime t0, SimTime t1) const {
@@ -78,8 +24,8 @@ Money SpotMarket::CostForInterval(int base_type, SimTime t0, SimTime t1) const {
     return 0.0;
   }
   const double step_s = options_.price_step_s;
-  const std::int64_t first = StepIndex(std::max(t0, 0.0));
-  const std::int64_t last = StepIndex(std::max(t1, 0.0));
+  const std::int64_t first = StepOf(std::max(t0, 0.0));
+  const std::int64_t last = StepOf(std::max(t1, 0.0));
   Money total = 0.0;
   for (std::int64_t step = first; step <= last; ++step) {
     const SimTime lo = std::max(t0, static_cast<double>(step) * step_s);

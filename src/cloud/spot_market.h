@@ -65,27 +65,33 @@ class SpotMarket {
   const SpotMarketOptions& options() const { return options_; }
 
   // Quote as a fraction of the on-demand price during the step containing t.
-  double PriceFraction(int base_type, SimTime t) const;
+  double PriceFraction(int base_type, SimTime t) const {
+    return FractionForStep(base_type, StepOf(t));
+  }
 
   // Hourly spot price of `base_type` at time t.
-  Money Quote(int base_type, SimTime t) const;
+  Money Quote(int base_type, SimTime t) const { return QuoteAtStep(base_type, StepOf(t)); }
 
-  // The price step containing t. Prices are a pure function of
-  // (seed, type, step), so a step index is a complete cache key for a
-  // quote snapshot — the provider's shared quote-catalog cache keys on it.
-  std::int64_t StepOf(SimTime t) const { return StepIndex(t); }
+  // The price step containing t (a boundary belongs to the step it opens;
+  // see StepClock). Prices are a pure function of (seed, type, step), so a
+  // step index is a complete cache key for a quote snapshot — the
+  // provider's shared quote-catalog cache keys on it.
+  std::int64_t StepOf(SimTime t) const { return clock_.StepOf(t); }
 
-  // Hourly spot price of `base_type` during `step`. Quote(t) ==
-  // QuoteAtStep(StepOf(t)) bit-for-bit.
-  Money QuoteAtStep(int base_type, std::int64_t step) const;
+  // Hourly spot price of `base_type` during `step`.
+  Money QuoteAtStep(int base_type, std::int64_t step) const {
+    return base_.Get(base_type).cost_per_hour * FractionForStep(base_type, step);
+  }
 
   // True when holding spot capacity of this type at time t triggers a
   // preemption (quote at or above the threshold).
-  bool IsPreempting(int base_type, SimTime t) const;
+  bool IsPreempting(int base_type, SimTime t) const {
+    return PriceFraction(base_type, t) >= options_.preemption_price_fraction - 1e-12;
+  }
 
   // The earliest step boundary strictly after t — where the next repricing
   // (and therefore the next possible preemption transition) happens.
-  SimTime NextStepBoundary(SimTime t) const;
+  SimTime NextStepBoundary(SimTime t) const { return clock_.NextStepBoundary(t); }
 
   // Dollar cost of holding one spot instance of `base_type` over [t0, t1]:
   // the price-trace integral, folded over ascending steps. Returns 0 for
@@ -93,22 +99,13 @@ class SpotMarket {
   Money CostForInterval(int base_type, SimTime t0, SimTime t1) const;
 
  private:
-  // Uniform in [0, 1), pure in (seed, type, step).
-  double HashUniform(int base_type, std::int64_t step, std::uint64_t salt) const;
-
-  // The step containing t, with a float round-trip guard: a timestamp
-  // produced as (k+1) * price_step_s (NextStepBoundary, the kSpotCheck
-  // event times) can divide back to fractionally under k+1 when the step
-  // is not exactly representable — boundaries must belong to the step they
-  // open, or the check armed for a new step re-reads the old step's price.
-  std::int64_t StepIndex(SimTime t) const;
-
   // The price fraction of one step — the single source every public query
   // derives from.
   double FractionForStep(int base_type, std::int64_t step) const;
 
   const InstanceCatalog& base_;
   SpotMarketOptions options_;
+  StepClock clock_;
 };
 
 }  // namespace eva

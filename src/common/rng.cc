@@ -3,25 +3,21 @@
 #include <cassert>
 #include <cmath>
 
+#include "src/common/hash.h"
+
 namespace eva {
 namespace {
-
-std::uint64_t SplitMix64(std::uint64_t& x) {
-  x += 0x9E3779B97f4A7C15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 std::uint64_t Rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
+  // Successive SplitMix64 outputs from `seed`.
   std::uint64_t s = seed;
   for (auto& word : state_) {
-    word = SplitMix64(s);
+    word = Mix64(s);
+    s += 0x9e3779b97f4a7c15ULL;
   }
 }
 

@@ -7,6 +7,8 @@
 #ifndef SRC_COMMON_UNITS_H_
 #define SRC_COMMON_UNITS_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 namespace eva {
@@ -29,6 +31,28 @@ inline Money CostForUptime(Money cost_per_hour, SimTime uptime_seconds) {
 inline SimTime HoursToSeconds(double hours) { return hours * kSecondsPerHour; }
 inline double SecondsToHours(SimTime seconds) { return seconds / kSecondsPerHour; }
 inline SimTime MinutesToSeconds(double minutes) { return minutes * kSecondsPerMinute; }
+
+// Fixed-length steps [k * step_s, (k + 1) * step_s): the spot market's
+// repricing steps and the fault model's check steps.
+struct StepClock {
+  SimTime step_s;
+
+  // The step containing t (step 0 for t < 0), with a float round-trip
+  // guard: a timestamp produced as (k+1) * step_s (NextStepBoundary, the
+  // check events' times) can divide back to just under k+1 when the step is
+  // not exactly representable. A boundary must belong to the step it
+  // opens, or the check armed for a new step re-reads the old one.
+  std::int64_t StepOf(SimTime t) const {
+    std::int64_t step = static_cast<std::int64_t>(std::floor(std::max(t, 0.0) / step_s));
+    if (static_cast<double>(step + 1) * step_s <= t) {
+      ++step;
+    }
+    return step;
+  }
+
+  // The earliest step boundary strictly after t.
+  SimTime NextStepBoundary(SimTime t) const { return static_cast<double>(StepOf(t) + 1) * step_s; }
+};
 
 // Strongly-typed identifiers. Plain integers are easy to mix up across the
 // scheduler/simulator boundary; distinct aliases at least document intent.

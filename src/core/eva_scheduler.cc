@@ -58,10 +58,9 @@ bool SameInstance(const InstanceInfo& a, const InstanceInfo& b) {
 EvaScheduler::EvaScheduler(EvaOptions options)
     : options_(std::move(options)),
       monitor_(options_.default_pairwise_throughput),
-      estimator_(options_.estimator),
+      estimator_(EventRateEstimator::Options{}),
       incremental_active_(options_.incremental_packing ==
-                          EvaOptions::IncrementalPacking::kOn),
-      escalation_(options_.escalation) {}
+                          EvaOptions::IncrementalPacking::kOn) {}
 
 void EvaScheduler::BindWorkloadScale(std::size_t expected_jobs) {
   if (options_.incremental_packing == EvaOptions::IncrementalPacking::kAuto) {

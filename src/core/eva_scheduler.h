@@ -67,8 +67,6 @@ struct EvaOptions {
   CloudDelayModel cloud_delays;
   double migration_delay_multiplier = 1.0;
 
-  EventRateEstimator::Options estimator;
-
   // --- Decision-path performance knob (bit-identical results) -----------
   // Replay the previous round's candidates when the decision inputs (task
   // set, placements, instances, throughput table) are unchanged. This memo
@@ -82,7 +80,7 @@ struct EvaOptions {
   // Replace Full Reconfiguration with delta-touched repacking seeded from
   // the previous round's configuration (see incremental_reconfig.h),
   // bounded by periodic exact-repack reconciliation and the auto-escalation
-  // policy below. kAuto — the default — turns the fast path on only when
+  // policy (EscalationPolicy, at its default thresholds). kAuto — the default — turns the fast path on only when
   // the bound workload (Scheduler::BindWorkloadScale) reaches
   // `incremental_auto_min_jobs`: small traces (the golden-pinned evaluation
   // paths) keep the exact Algorithm 1 output every round bit-identically,
@@ -104,9 +102,6 @@ struct EvaOptions {
   // there, and the cadence stays deterministic under batching. <= 0
   // disables periodic reconciliation (on-demand still works).
   int reconcile_every_n_packs = 64;
-
-  // Auto-escalation thresholds (see EscalationPolicy).
-  EscalationPolicy::Options escalation;
 
   // Custom display name; empty derives one from the options.
   std::string name;

@@ -103,17 +103,13 @@ void ClusterState::Condemn(InstanceId id) {
 
 void ClusterState::AccrueTerminated(const InstRec& instance, SimTime now) {
   const SimTime uptime = std::max(now - instance.launch_time, 0.0);
-  if (cost_fn_) {
-    total_cost_ += cost_fn_(instance.type_index, instance.launch_time,
-                            instance.launch_time + uptime);
+  if (end_fn_) {
+    total_cost_ +=
+        end_fn_(instance.type_index, instance.launch_time, instance.launch_time + uptime);
   } else {
     total_cost_ += CostForUptime(catalog_.Get(instance.type_index).cost_per_hour, uptime);
   }
   uptime_hours_.push_back(SecondsToHours(uptime));
-  if (terminated_fn_) {
-    terminated_fn_(instance.type_index, instance.launch_time,
-                   instance.launch_time + uptime, instance.provider_slot);
-  }
 }
 
 bool ClusterState::MaybeTerminate(InstanceId id, SimTime now) {

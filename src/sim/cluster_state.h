@@ -93,9 +93,6 @@ struct InstRec {
   // pure hash at launch; 0 when faults are off) — zone outages and drains
   // select victims by it.
   int zone = 0;
-  // Provider release ticket from CloudProvider::TryAcquire (unlimited
-  // pools; -1 otherwise) — makes the release at termination O(1).
-  std::int64_t provider_slot = -1;
   // Flat sorted id sets (identical iteration order to the std::sets they
   // replaced): per-event retarget/migration churn mutates these, and set
   // node allocation dominated the engine's per-event allocation count.
@@ -221,33 +218,24 @@ class ClusterState {
 
   // Total executing seconds accumulated so far — retired jobs' archives
   // plus live jobs' running tallies. The fault accounting's goodput
-  // denominator (executed work; lost work is tracked by the simulator).
+  // denominator (executed work; lost work is tracked by MarketEvents).
   double TotalRunningSeconds() const;
 
-  // --- Cloud provider hooks ----------------------------------------------
-  // Custom pricing for an instance's [launch, end] lifetime (the spot tier's
+  // --- Cloud provider hook -----------------------------------------------
+  // Invoked whenever an instance's [launch, end] lifetime ends
+  // (MaybeTerminate and TerminateAllLive) and returns its cost: the
+  // provider's capacity-release channel and custom pricing (the spot tier's
   // time-varying trace). Unset (the default): CostForUptime(catalog hourly
   // price, uptime) — the exact original expression, bit-for-bit.
-  using InstanceCostFn = std::function<Money(int type_index, SimTime launch, SimTime end)>;
-  void set_instance_cost_fn(InstanceCostFn fn) { cost_fn_ = std::move(fn); }
-
-  // Observer invoked whenever an instance's lifetime ends (MaybeTerminate
-  // and TerminateAllLive) — the provider's capacity-release channel.
-  // `provider_slot` is the instance's release ticket (InstRec::provider_slot;
-  // -1 when none), forwarded so the provider can free in O(1).
-  using InstanceTerminatedFn = std::function<void(
-      int type_index, SimTime launch, SimTime end, std::int64_t provider_slot)>;
-  void set_instance_terminated_fn(InstanceTerminatedFn fn) {
-    terminated_fn_ = std::move(fn);
-  }
+  using InstanceEndFn = std::function<Money(int type_index, SimTime launch, SimTime end)>;
+  void set_instance_end_fn(InstanceEndFn fn) { end_fn_ = std::move(fn); }
 
  private:
   void MarkAssignmentChanged(InstanceId instance_id);
   void RefreshCompositionSums();
 
-  // Shared tail of every termination path: accrues cost (through the cost
-  // hook when set) and the uptime sample, and notifies the termination
-  // observer.
+  // Shared tail of every termination path: accrues cost (through the end
+  // hook when set) and the uptime sample.
   void AccrueTerminated(const InstRec& instance, SimTime now);
 
   const InstanceCatalog& catalog_;
@@ -284,8 +272,7 @@ class ClusterState {
 
   RoundDelta round_delta_;
 
-  InstanceCostFn cost_fn_;
-  InstanceTerminatedFn terminated_fn_;
+  InstanceEndFn end_fn_;
 
   // Metric accumulators.
   std::int64_t instances_launched_ = 0;

@@ -25,17 +25,12 @@ enum class SimEventType {
   kCheckpointDone,
   kLaunchDone,
   kCompletionCheck,
-  // Cloud provider market (src/cloud/provider.h): a spot repricing step
-  // (scan live spot instances for preemption warnings) and the reclaim of
-  // one warned instance after the two-minute notice (`a` = instance id).
+  // Market events, handled by MarketEvents (src/sim/market_events.h): the
+  // spot repricing check and a warned instance's reclaim (`a` = instance
+  // id); the fault-schedule check, a zone outage and the start of a zone
+  // drain (`a` = zone), and a drained instance's reclaim (`a` = instance id).
   kSpotCheck,
   kSpotPreempt,
-  // Fault injection (src/cloud/fault_injector.h): the per-step schedule
-  // probe (roll every fault kind for the step just opened), a zone outage
-  // (`a` = zone; abrupt kill of everything in the zone), the start of a
-  // zone maintenance drain (`a` = zone; graceful eviction with notice), and
-  // the expiry of one drained instance's notice (`a` = instance id; abrupt
-  // reclaim of whatever is still aboard).
   kFaultCheck,
   kZoneOutage,
   kDrainStart,

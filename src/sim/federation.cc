@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "src/common/format.h"
+#include "src/common/hash.h"
 #include "src/common/stats.h"
 #include "src/common/thread_pool.h"
 #include "src/obs/publish.h"
@@ -16,14 +17,8 @@ namespace eva {
 
 namespace {
 
-// SplitMix64 finalizer — the stagger slot must be a pure function of
-// (seed, tenant index) so the same options always yield the same offsets.
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+// Per-tenant rows PrintFederationReport shows before eliding the rest.
+constexpr std::size_t kMaxTenantRows = 16;
 
 double Seconds(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double>(d).count();
@@ -153,14 +148,8 @@ FederationResult RunFederation(const std::vector<FederationTenant>& tenants,
   FederationStats& stats = result.stats;
   const auto setup_start = std::chrono::steady_clock::now();
 
-  // The shared provider must clamp capacity off the same fault schedule the
-  // tenants kill instances from: propagate the simulator-side fault options
-  // into the provider exactly as a per-simulator provider would.
-  CloudProviderOptions provider_options = options.provider;
-  if (options.simulator.faults.enabled) {
-    provider_options.faults = options.simulator.faults;
-  }
-  CloudProvider provider(options.catalog, provider_options);
+  CloudProvider provider(options.catalog,
+                         MergedProviderOptions(options.provider, options.simulator.faults));
 
   // Observability. One shared TraceRecorder serves every tenant (each
   // registers its own track at construction); the driver adds a
@@ -198,6 +187,8 @@ FederationResult RunFederation(const std::vector<FederationTenant>& tenants,
     sim_options.observability.flight_recorder =
         options.flight_recorders != nullptr ? &(*options.flight_recorders)[i] : nullptr;
     if (options.stagger_rounds) {
+      // A pure function of (seed, tenant index): the same options always
+      // yield the same offsets.
       const auto slot = static_cast<int>(
           Mix64(options.stagger_seed ^ static_cast<std::uint64_t>(i)) %
           static_cast<std::uint64_t>(stagger_slots));
@@ -244,13 +235,9 @@ FederationResult RunFederation(const std::vector<FederationTenant>& tenants,
   return result;
 }
 
-void PrintFederationReport(const FederationResult& result,
-                           const FederationReportOptions& report) {
+void PrintFederationReport(const FederationResult& result) {
   const std::size_t total = result.tenants.size();
-  const std::size_t shown =
-      report.max_tenant_rows <= 0
-          ? total
-          : std::min(total, static_cast<std::size_t>(report.max_tenant_rows));
+  const std::size_t shown = std::min(total, kMaxTenantRows);
   std::printf("%-12s %-12s %12s %10s %8s %8s %8s %8s %9s\n", "Tenant", "Scheduler",
               "Cost($)", "SpotCost", "JCT(h)", "Denied", "Preempt", "SpotInst", "Jobs");
   for (std::size_t i = 0; i < shown; ++i) {
@@ -264,8 +251,7 @@ void PrintFederationReport(const FederationResult& result,
                 m.jobs_submitted);
   }
   if (shown < total) {
-    std::printf("  ... %zu more tenants elided (max_tenant_rows=%d)\n", total - shown,
-                report.max_tenant_rows);
+    std::printf("  ... %zu more tenants elided\n", total - shown);
   }
 
   if (total > 1) {

@@ -169,18 +169,11 @@ std::vector<FederationTenant> MakeTenantShards(const Trace& base, int num_tenant
                                                std::uint64_t seed_base = 101,
                                                SchedulerKind kind = SchedulerKind::kEva);
 
-struct FederationReportOptions {
-  // Per-tenant rows printed before the rest are elided behind an aggregate
-  // line (<= 0 prints every tenant). At 1000 tenants the full table is
-  // noise; the min/median/p95/max rows carry the story.
-  int max_tenant_rows = 16;
-};
-
-// Renders a per-tenant table (capped per `report`), cross-tenant aggregate
-// rows when more than one tenant ran, the provider summary, and the
-// driver's phase/wall statistics.
-void PrintFederationReport(const FederationResult& result,
-                           const FederationReportOptions& report = {});
+// Renders a per-tenant table, cross-tenant aggregate rows when more than one
+// tenant ran, the provider summary, and the driver's phase/wall statistics.
+// The table shows the first 16 tenants: at 1000 tenants the full table is
+// noise, and the min/median/p95/max rows carry the story.
+void PrintFederationReport(const FederationResult& result);
 
 }  // namespace eva
 

@@ -4,18 +4,18 @@
 #include <chrono>
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/format.h"
+#include "src/common/hash.h"
 #include "src/common/logging.h"
 #include "src/common/rng.h"
-#include "src/common/stats.h"
 #include "src/obs/publish.h"
 #include "src/sched/config_diff.h"
 #include "src/sim/cluster_state.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/execution_model.h"
+#include "src/sim/market_events.h"
 #include "src/sim/task_lifecycle.h"
 
 namespace eva {
@@ -35,21 +35,23 @@ constexpr double kSpotRiskPremium = 0.10;
 // Virtual-time bucket width of the registry time series.
 constexpr double kTimeseriesBucketSeconds = 3600.0;
 
-// A per-simulator provider must clamp capacity off the *same* fault schedule
-// the simulator kills instances from — one options block, two consumers.
-CloudProviderOptions MergedProviderOptions(const SimulatorOptions& options) {
-  CloudProviderOptions merged = options.provider;
-  if (options.faults.enabled) {
-    merged.faults = options.faults;
+// This simulator's track on the configured trace recorder, if any.
+TraceBinding RegisterTrack(const SimulatorOptions& options) {
+  const ObservabilityOptions& obs = options.observability;
+  if (obs.trace == nullptr) {
+    return {};
   }
-  return merged;
+  const std::string name =
+      obs.track_name.empty() ? "tenant" + std::to_string(options.tenant_id) : obs.track_name;
+  return {obs.trace, obs.trace->RegisterTrack(name)};
 }
 
 }  // namespace
 
-// Orchestrator: wires the event queue, cluster state, execution model and
-// task lifecycle to the Scheduler interface. All domain logic lives in those
-// modules; the handlers below only sequence events into state transitions.
+// Orchestrator: wires the event queue, cluster state, execution model, task
+// lifecycle and market events to the Scheduler interface. All domain logic
+// lives in those modules; the handlers below only sequence events into
+// state transitions.
 class Simulator::Impl {
  public:
   Impl(const Trace& trace, Scheduler* scheduler, const InstanceCatalog& catalog,
@@ -59,7 +61,8 @@ class Simulator::Impl {
         options_(options),
         provider_owned_(options_.shared_provider == nullptr && options_.provider.enabled
                             ? std::make_unique<CloudProvider>(
-                                  catalog, MergedProviderOptions(options_))
+                                  catalog,
+                                  MergedProviderOptions(options_.provider, options_.faults))
                             : nullptr),
         provider_(options_.shared_provider != nullptr ? options_.shared_provider
                                                       : provider_owned_.get()),
@@ -67,39 +70,32 @@ class Simulator::Impl {
         rng_(options.seed),
         state_(catalog_),
         exec_(&state_, &catalog_, &interference),
-        lifecycle_(&state_, &exec_, &queue_, options.migration_delay_multiplier) {
+        lifecycle_(&state_, &exec_, &queue_, options.migration_delay_multiplier),
+        obs_trace_(RegisterTrack(options_)),
+        market_(&state_, &exec_, &lifecycle_, &queue_, catalog_, provider_, options_.faults,
+                options_.tenant_id, &metrics_, obs_trace_) {
     // Let scale-dependent scheduler defaults (Eva's auto incremental-
     // packing mode) resolve against the workload size before any round.
     scheduler_->BindWorkloadScale(trace_.jobs.size());
-    const ObservabilityOptions& obs = options_.observability;
-    flight_ = obs.flight_recorder;
-    registry_ = obs.registry;
-    if (obs.trace != nullptr) {
-      obs_trace_ = obs.trace;
-      track_ = obs_trace_->RegisterTrack(
-          !obs.track_name.empty() ? obs.track_name
-                                  : "tenant" + std::to_string(options_.tenant_id));
-      scheduler_->BindTrace(TraceBinding{obs_trace_, track_});
+    flight_ = options_.observability.flight_recorder;
+    registry_ = options_.observability.registry;
+    if (obs_trace_) {
+      scheduler_->BindTrace(obs_trace_);
     }
     if (provider_ != nullptr) {
-      // Spot instances are priced off the market's trace integral (and the
-      // spot share is tracked); releases return pool capacity. The hooks
-      // reproduce the default expressions exactly for on-demand types.
-      state_.set_instance_cost_fn([this](int type_index, SimTime launch, SimTime end) {
+      // A termination returns pool capacity. Spot instances are priced off
+      // the market's trace integral (and the spot share is tracked); the
+      // price is the default expression exactly for on-demand types.
+      state_.set_instance_end_fn([this](int type_index, SimTime launch, SimTime end) {
+        provider_->Release(type_index, launch, end);
         const Money cost = provider_->InstanceCost(type_index, launch, end);
         if (provider_->IsSpotType(type_index)) {
           metrics_.spot_cost += cost;
         }
         return cost;
       });
-      state_.set_instance_terminated_fn(
-          [this](int type_index, SimTime launch, SimTime end, std::int64_t slot) {
-            provider_->Release(type_index, launch, end, slot);
-          });
     }
   }
-
-  SimulationMetrics Run();
 
   // Lockstep stepping API (see simulator.h).
   void Start();
@@ -125,34 +121,15 @@ class Simulator::Impl {
   // every event, standing in for the old full-cluster rescan.
   void RecomputeAndArm();
 
-  // Pops and dispatches exactly one event. Returns false when the run
-  // aborted (event beyond max_sim_time_s). Requires !queue_.Empty().
-  bool ProcessOneEvent();
+  // Pops and dispatches exactly one event, or aborts the run on an event
+  // beyond max_sim_time_s. Requires !queue_.Empty().
+  void ProcessOneEvent();
 
   void HandleArrival(std::int64_t job_index);
   void HandleRound();
   void HandleInstanceReady(InstanceId id);
   void HandleCompletionCheck(SimTime at);
-  void HandleSpotCheck();
-  void HandleSpotPreempt(InstanceId id);
-  void HandleFaultCheck();
-  void HandleZoneOutage(int zone);
-  void HandleDrainStart(int zone);
-  void HandleDrainDeadline(InstanceId id);
   void ApplyConfig(const SchedulingContext& context, const ClusterConfig& config);
-
-  // Destroys an instance right now — containers aboard are lost, assigned
-  // tasks bounce back to pending, capacity is released. The shared abrupt
-  // path of expired spot notices (fault_loss=false: no fault accounting)
-  // and fault kills (fault_loss=true: lost work, victims, and re-placement
-  // latency are tallied).
-  void AbruptReclaim(InstanceId id, bool fault_loss);
-
-  // Records the first fault disruption of a task (idempotent); the next
-  // successful container launch closes the re-placement latency sample.
-  void MarkFaultDisrupted(TaskId task_id) {
-    fault_disrupted_at_.try_emplace(task_id, now_);
-  }
 
   void PushRound(SimTime at) {
     round_scheduled_ = true;
@@ -160,16 +137,7 @@ class Simulator::Impl {
     queue_.Push(at, SimEventType::kRound);
   }
 
-  // Arms the next spot repricing check if none is outstanding.
-  void ArmSpotCheck();
-  // Arms the next fault-schedule check if none is outstanding.
-  void ArmFaultCheck();
-  // Issues the two-minute warning for one spot instance: evicts its
-  // assigned tasks, condemns it, and schedules the reclaim.
-  void WarnSpotInstance(InstanceId id);
-
   bool SpotActive() const { return provider_ != nullptr && provider_->spot_enabled(); }
-  bool FaultsActive() const { return options_.faults.enabled; }
 
   bool HasActiveJobs() const { return state_.num_active() > 0; }
   bool HasPendingArrivals() const { return next_arrival_ < trace_.jobs.size(); }
@@ -190,9 +158,7 @@ class Simulator::Impl {
   // sharpest per-round fingerprint the flight recorder snapshots.
   std::uint64_t HashConfig(const ClusterConfig& config) const {
     std::uint64_t hash = 0x9e3779b97f4a7c15ULL;
-    auto mix = [&hash](std::uint64_t value) {
-      hash ^= value + 0x9e3779b97f4a7c15ULL + (hash << 6) + (hash >> 2);
-    };
+    auto mix = [&hash](std::uint64_t value) { hash = HashCombine(hash, value); };
     mix(static_cast<std::uint64_t>(config.instances.size()));
     for (const ConfigInstance& instance : config.instances) {
       mix(static_cast<std::uint64_t>(instance.type_index));
@@ -251,10 +217,11 @@ class Simulator::Impl {
   // round may be offered to Scheduler::CoalesceQuiescentRounds. Spot quotes
   // drift between rounds, so no round is quiescent while the market is on;
   // fault injection is likewise disqualifying (a fault can rip capacity out
-  // between two otherwise-identical rounds).
+  // between two otherwise-identical rounds). Market events therefore never
+  // need to mark the rates dirty.
   bool RoundIsQuiescent() const {
     return options_.coalesce_quiescent_rounds && !options_.physical_mode &&
-           !SpotActive() && !FaultsActive() && last_apply_noop_ &&
+           !SpotActive() && !options_.faults.enabled && last_apply_noop_ &&
            !rates_dirty_since_round_ && !state_.HasPendingDelta();
   }
 
@@ -276,6 +243,10 @@ class Simulator::Impl {
   ExecutionModel exec_;
   EventQueue queue_;
   TaskLifecycle lifecycle_;
+  // Observability trace binding (null recorder when off); declared here
+  // because market_ records into it.
+  TraceBinding obs_trace_;
+  MarketEvents market_;
 
   std::size_t next_arrival_ = 0;
   SimTime pending_completion_check_ = std::numeric_limits<SimTime>::infinity();
@@ -283,21 +254,6 @@ class Simulator::Impl {
   bool round_scheduled_ = false;
   SimTime next_round_time_ = 0.0;
   bool aborted_ = false;
-
-  // One outstanding spot repricing check at a time; re-armed while spot
-  // instances are live and parked (flag false) when none remain.
-  bool spot_check_armed_ = false;
-
-  // Fault injection. The simulator-side view of the schedule — pure in
-  // options_.faults, so it agrees bit-for-bit with the provider's capacity
-  // clamp built from the same options. One outstanding kFaultCheck at a
-  // time, re-armed while instances are live (the same idiom as spot).
-  FaultModel fault_model_{options_.faults};
-  bool fault_check_armed_ = false;
-  // First fault disruption per not-yet-replaced task, and the closed
-  // re-placement latency samples (disruption -> next successful launch).
-  std::unordered_map<TaskId, SimTime> fault_disrupted_at_;
-  std::vector<double> replacement_latency_s_;
 
   // Per-round decision-price snapshot: the tiered catalog with spot entries
   // at the current quote x (1 + risk premium). Borrowed from the provider's
@@ -323,12 +279,9 @@ class Simulator::Impl {
   SchedulingContext round_context_;
 
   // Round-scoped output buffers, rewritten in place every round: the
-  // scheduler's desired configuration and its diff against the context.
-  // These replace per-round temporaries (and ApplyConfig's PR-4
-  // thread_local scratch — members give each simulator its own storage,
-  // which is the stronger isolation under federation and parallel
-  // comparison runs, and leave ScratchLease as the one thread-local
-  // mechanism in the codebase).
+  // scheduler's desired configuration, its diff against the context, and
+  // ApplyConfig's scratch. Members give each simulator its own storage,
+  // which isolates federation tenants and parallel comparison runs.
   ClusterConfig round_config_;
   ConfigDiff round_diff_;
   std::vector<InstanceId> apply_binding_instance_;
@@ -337,18 +290,14 @@ class Simulator::Impl {
 
   // Per-event copy buffers (iteration-robust snapshots of instance task
   // sets and completion candidates), reused so handlers allocate nothing
-  // at steady state. scratch_evict_ids_ is distinct because
-  // HandleSpotPreempt snapshots two sets in one call.
+  // at steady state.
   std::vector<TaskId> scratch_task_ids_;
-  std::vector<TaskId> scratch_evict_ids_;
   std::vector<JobId> scratch_job_ids_;
   std::vector<InstanceId> scratch_instance_ids_;
 
-  // Observability sinks, unpacked from options_.observability at
+  // The other observability sinks, unpacked from options_.observability at
   // construction; all null in the default (off) configuration, so every
   // hook below is one pointer test on the hot path.
-  TraceRecorder* obs_trace_ = nullptr;
-  std::uint32_t track_ = 0;
   FlightRecorder* flight_ = nullptr;
   TelemetryRegistry* registry_ = nullptr;
   std::uint64_t last_config_hash_ = 0;
@@ -416,8 +365,8 @@ void Simulator::Impl::HandleRound() {
       (HasActiveJobs() || HasPendingArrivals() || state_.HasLiveInstances()) &&
       scheduler_->CoalesceQuiescentRounds(1, options_.scheduling_period_s) > 0) {
     ++metrics_.rounds_coalesced;
-    if (obs_trace_ != nullptr) {
-      obs_trace_->Instant(track_, "round.coalesced", now_);
+    if (obs_trace_) {
+      obs_trace_.recorder->Instant(obs_trace_.track, "round.coalesced", now_);
     }
     if (flight_ != nullptr || registry_ != nullptr) {
       RecordRoundObservability();
@@ -475,10 +424,10 @@ void Simulator::Impl::HandleRound() {
     PushRound(now_ + options_.scheduling_period_s);
   }
 
-  if (obs_trace_ != nullptr) {
-    obs_trace_->Instant(track_, "round", now_, "active_jobs",
-                    static_cast<double>(state_.num_active()), "live_instances",
-                    static_cast<double>(state_.instances().size()));
+  if (obs_trace_) {
+    obs_trace_.recorder->Instant(obs_trace_.track, "round", now_, "active_jobs",
+                                 static_cast<double>(state_.num_active()), "live_instances",
+                                 static_cast<double>(state_.instances().size()));
   }
   if (flight_ != nullptr || registry_ != nullptr) {
     RecordRoundObservability();
@@ -493,10 +442,10 @@ void Simulator::Impl::ApplyConfig(const SchedulingContext& context,
   if (flight_ != nullptr) {
     last_config_hash_ = HashConfig(config);
   }
-  if (obs_trace_ != nullptr) {
-    obs_trace_->Instant(track_, "config.apply", now_, "launches",
-                    static_cast<double>(diff.NumLaunches()), "moves",
-                    static_cast<double>(diff.moves.size()));
+  if (obs_trace_) {
+    obs_trace_.recorder->Instant(obs_trace_.track, "config.apply", now_, "launches",
+                                 static_cast<double>(diff.NumLaunches()), "moves",
+                                 static_cast<double>(diff.moves.size()));
   }
 
   // An application that launches, terminates (or condemns) or moves nothing
@@ -518,8 +467,7 @@ void Simulator::Impl::ApplyConfig(const SchedulingContext& context,
       binding_instance[i] = binding.existing_id;
       continue;
     }
-    std::int64_t slot = -1;
-    if (provider_ != nullptr && !provider_->TryAcquire(binding.type_index, now_, &slot)) {
+    if (provider_ != nullptr && !provider_->TryAcquire(binding.type_index, now_)) {
       ++metrics_.acquisitions_denied;
       any_denied = true;
       EVA_LOG_DEBUG("tenant %d: launch of type %d denied at t=%.0f", options_.tenant_id,
@@ -529,19 +477,8 @@ void Simulator::Impl::ApplyConfig(const SchedulingContext& context,
     const SimTime delay = options_.cloud_delays.ProvisioningDelay(
         options_.physical_mode ? &rng_ : nullptr);
     InstRec& instance = state_.CreateInstance(binding.type_index, now_, now_ + delay);
-    instance.provider_slot = slot;
-    if (FaultsActive()) {
-      // Zone placement is a pure hash over the zones up right now, so an
-      // instance never launches into an ongoing outage.
-      instance.zone = fault_model_.ZoneAt(options_.tenant_id, instance.id, now_);
-      ArmFaultCheck();
-    }
     binding_instance[i] = instance.id;
-    queue_.Push(instance.ready_time, SimEventType::kInstanceReady, instance.id);
-    if (provider_ != nullptr && provider_->IsSpotType(binding.type_index)) {
-      ++metrics_.spot_instances_launched;
-      ArmSpotCheck();
-    }
+    market_.OnLaunch(instance, now_);  // Also pushes the kInstanceReady.
   }
 
   // Which moves execute. Without denials: every move (the config was
@@ -727,271 +664,7 @@ void Simulator::Impl::HandleCompletionCheck(SimTime at) {
   }
 }
 
-void Simulator::Impl::ArmSpotCheck() {
-  if (!SpotActive() || spot_check_armed_) {
-    return;
-  }
-  spot_check_armed_ = true;
-  queue_.Push(provider_->market().NextStepBoundary(now_), SimEventType::kSpotCheck);
-}
-
-void Simulator::Impl::WarnSpotInstance(InstanceId id) {
-  InstRec* inst = state_.FindInstance(id);
-  if (inst == nullptr) {
-    return;
-  }
-  ++metrics_.spot_preemptions;
-  provider_->RecordPreemption(inst->type_index);
-  if (obs_trace_ != nullptr) {
-    obs_trace_->Instant(track_, "spot.warn", now_, "instance",
-                    static_cast<double>(id), "type",
-                    static_cast<double>(inst->type_index));
-  }
-  EVA_LOG_DEBUG("tenant %d: spot instance " EVA_PRId64
-                " (type %d) preemption warning at t=%.0f",
-                options_.tenant_id, id, inst->type_index, now_);
-  // Evict every task routed here: running tasks checkpoint (and park
-  // kPending when the checkpoint lands), parked/launching tasks drop back
-  // to the pending pool immediately.
-  std::vector<TaskId>& assigned = scratch_task_ids_;
-  assigned.assign(inst->assigned.begin(), inst->assigned.end());
-  for (TaskId task_id : assigned) {
-    if (TaskRec* task = state_.FindTask(task_id)) {
-      lifecycle_.Evict(*task, now_);
-    }
-  }
-  // Condemned: invisible to the scheduler from the next context on, and
-  // terminated (capacity released) the moment the last container leaves —
-  // possibly right now, if nothing was placed yet.
-  state_.Condemn(id);
-  queue_.Push(now_ + provider_->market().options().warning_s, SimEventType::kSpotPreempt,
-              id);
-  state_.MaybeTerminate(id, now_);
-}
-
-void Simulator::Impl::HandleSpotCheck() {
-  spot_check_armed_ = false;
-  // Scan live spot instances in id order (deterministic) for types whose
-  // quote crossed the preemption threshold this step.
-  std::vector<InstanceId> to_warn;
-  bool any_spot_live = false;
-  for (const auto& [id, instance] : state_.instances()) {
-    if (!provider_->IsSpotType(instance.type_index)) {
-      continue;
-    }
-    any_spot_live = true;
-    if (instance.condemned) {
-      continue;  // Already warned (or draining); reclaim is scheduled.
-    }
-    if (provider_->market().IsPreempting(provider_->BaseType(instance.type_index), now_)) {
-      to_warn.push_back(id);
-    }
-  }
-  for (InstanceId id : to_warn) {
-    WarnSpotInstance(id);
-  }
-  if (any_spot_live) {
-    ArmSpotCheck();  // Keep repricing while spot capacity is held.
-  }
-}
-
-void Simulator::Impl::HandleSpotPreempt(InstanceId id) {
-  // The notice expired with containers still aboard (checkpoints slower
-  // than the warning): they are lost. Spot losses are tallied by the spot
-  // counters, not the fault ledger.
-  if (obs_trace_ != nullptr) {
-    obs_trace_->Instant(track_, "spot.preempt", now_, "instance",
-                    static_cast<double>(id));
-  }
-  AbruptReclaim(id, /*fault_loss=*/false);
-}
-
-void Simulator::Impl::AbruptReclaim(InstanceId id, bool fault_loss) {
-  InstRec* inst = state_.FindInstance(id);
-  if (inst == nullptr) {
-    return;  // Already drained and terminated.
-  }
-  if (fault_loss) {
-    ++metrics_.faults.instances_killed;
-  }
-  // Mark neighbors dirty first — the instance record disappears below.
-  exec_.MarkInstanceDirty(*inst);
-  std::vector<TaskId>& present = scratch_task_ids_;
-  present.assign(inst->present.begin(), inst->present.end());
-  for (TaskId task_id : present) {
-    TaskRec* task = state_.FindTask(task_id);
-    if (task == nullptr) {
-      continue;
-    }
-    if (fault_loss) {
-      // A container died with work in flight: everything since its launch
-      // is gone (no checkpoint finished, or the event would have removed it
-      // from the present set already).
-      ++metrics_.faults.tasks_lost;
-      if (task->running_since >= 0.0) {
-        metrics_.faults.lost_work_seconds += std::max(now_ - task->running_since, 0.0);
-      }
-      MarkFaultDisrupted(task_id);
-    }
-    ++task->version;  // Cancels the in-flight checkpoint completion.
-    state_.RemoveContainer(*task);
-    if (task->target != kInvalidInstanceId && task->target != id) {
-      // Outbound migration interrupted: the container is gone either way;
-      // relaunch at the (still valid) destination.
-      task->state = TaskState::kWaiting;
-      lifecycle_.TryLaunch(*task, now_);
-    } else {
-      state_.ClearTarget(*task);
-      task->state = TaskState::kPending;
-    }
-  }
-  // Anything still assigned (tasks parked, launching, or bound here without
-  // a container yet) drops back to pending too.
-  std::vector<TaskId>& assigned = scratch_evict_ids_;
-  assigned.assign(inst->assigned.begin(), inst->assigned.end());
-  for (TaskId task_id : assigned) {
-    if (TaskRec* task = state_.FindTask(task_id)) {
-      if (fault_loss) {
-        MarkFaultDisrupted(task_id);
-      }
-      lifecycle_.Evict(*task, now_);
-    }
-  }
-  state_.Condemn(id);
-  state_.MaybeTerminate(id, now_);
-}
-
-void Simulator::Impl::ArmFaultCheck() {
-  if (!FaultsActive() || fault_check_armed_) {
-    return;
-  }
-  fault_check_armed_ = true;
-  queue_.Push(fault_model_.NextStepBoundary(now_), SimEventType::kFaultCheck);
-}
-
-void Simulator::Impl::HandleFaultCheck() {
-  fault_check_armed_ = false;
-  const std::int64_t step = fault_model_.StepOf(now_);
-  const FaultInjectorOptions& fopts = fault_model_.options();
-  // Zone events go through the queue (at now_, after this event's seq) so
-  // they appear in the trace as first-class events; correlated bursts act
-  // inline — their victim set is computed from the live set right here.
-  for (int zone = 0; zone < fopts.num_zones; ++zone) {
-    if (fault_model_.ZoneOutageStartsAt(zone, step)) {
-      queue_.Push(now_, SimEventType::kZoneOutage, zone);
-    }
-    if (fault_model_.DrainStartsAt(zone, step)) {
-      queue_.Push(now_, SimEventType::kDrainStart, zone);
-    }
-  }
-  for (int family = 0; family < kNumInstanceFamilies; ++family) {
-    if (!fault_model_.CorrelatedFailureAt(family, step)) {
-      continue;
-    }
-    // Rank the family's live instances by a pure hash and kill the lowest
-    // K: the victim set is a function of (schedule, live set) only, never
-    // of map iteration or event interleaving.
-    std::vector<std::pair<std::uint64_t, InstanceId>> ranked;
-    for (const auto& [id, instance] : state_.instances()) {
-      if (instance.condemned ||
-          static_cast<int>(catalog_.Get(instance.type_index).family) != family) {
-        continue;
-      }
-      ranked.emplace_back(fault_model_.VictimRank(options_.tenant_id, id, step), id);
-    }
-    if (ranked.empty()) {
-      continue;  // Scheduled burst found nothing to kill; not counted.
-    }
-    ++metrics_.faults.correlated_failures;
-    std::sort(ranked.begin(), ranked.end());
-    const std::size_t burst =
-        std::min(ranked.size(), static_cast<std::size_t>(
-                                    std::max(fopts.correlated_failure_size, 0)));
-    if (obs_trace_ != nullptr) {
-      obs_trace_->Instant(track_, "fault.correlated", now_, "family",
-                      static_cast<double>(family), "victims",
-                      static_cast<double>(burst));
-    }
-    for (std::size_t i = 0; i < burst; ++i) {
-      AbruptReclaim(ranked[i].second, /*fault_loss=*/true);
-    }
-  }
-  if (state_.HasLiveInstances()) {
-    ArmFaultCheck();  // Keep checking while anything can still fail.
-  }
-}
-
-void Simulator::Impl::HandleZoneOutage(int zone) {
-  ++metrics_.faults.zone_outages;
-  EVA_LOG_DEBUG("tenant %d: zone %d outage at t=%.0f", options_.tenant_id, zone, now_);
-  // The zone drops wholesale: every instance in it — ready, provisioning,
-  // even already-condemned — dies abruptly, in id order.
-  std::vector<InstanceId>& victims = scratch_instance_ids_;
-  victims.clear();
-  for (const auto& [id, instance] : state_.instances()) {
-    if (instance.zone == zone) {
-      victims.push_back(id);
-    }
-  }
-  if (obs_trace_ != nullptr) {
-    obs_trace_->Instant(track_, "fault.zone_outage", now_, "zone",
-                    static_cast<double>(zone), "victims",
-                    static_cast<double>(victims.size()));
-  }
-  for (InstanceId id : victims) {
-    AbruptReclaim(id, /*fault_loss=*/true);
-  }
-}
-
-void Simulator::Impl::HandleDrainStart(int zone) {
-  ++metrics_.faults.maintenance_drains;
-  EVA_LOG_DEBUG("tenant %d: zone %d maintenance drain at t=%.0f", options_.tenant_id,
-                zone, now_);
-  std::vector<InstanceId>& draining = scratch_instance_ids_;
-  draining.clear();
-  for (const auto& [id, instance] : state_.instances()) {
-    if (!instance.condemned && instance.zone == zone) {
-      draining.push_back(id);
-    }
-  }
-  if (obs_trace_ != nullptr) {
-    obs_trace_->Instant(track_, "fault.drain_start", now_, "zone",
-                    static_cast<double>(zone), "instances",
-                    static_cast<double>(draining.size()));
-  }
-  // The graceful twin of WarnSpotInstance, with a longer lead: evict every
-  // assigned task through checkpoint-then-pend, condemn the instance, and
-  // only reclaim abruptly if containers outlast the notice.
-  for (InstanceId id : draining) {
-    InstRec* inst = state_.FindInstance(id);
-    if (inst == nullptr) {
-      continue;
-    }
-    ++metrics_.faults.instances_drained;
-    std::vector<TaskId>& assigned = scratch_task_ids_;
-    assigned.assign(inst->assigned.begin(), inst->assigned.end());
-    for (TaskId task_id : assigned) {
-      if (TaskRec* task = state_.FindTask(task_id)) {
-        ++metrics_.faults.tasks_evicted;
-        MarkFaultDisrupted(task_id);
-        lifecycle_.Evict(*task, now_);
-      }
-    }
-    state_.Condemn(id);
-    queue_.Push(now_ + fault_model_.options().drain_notice_s,
-                SimEventType::kDrainDeadline, id);
-    state_.MaybeTerminate(id, now_);
-  }
-}
-
-void Simulator::Impl::HandleDrainDeadline(InstanceId id) {
-  // Whatever survived the notice (checkpoints slower than the lead time) is
-  // reclaimed the hard way; a cleanly drained instance is long gone and
-  // this is a no-op.
-  AbruptReclaim(id, /*fault_loss=*/true);
-}
-
-bool Simulator::Impl::ProcessOneEvent() {
+void Simulator::Impl::ProcessOneEvent() {
   const SimEvent event = queue_.Pop();
   if (event.time > options_.max_sim_time_s) {
     EVA_LOG_ERROR("simulation exceeded max time; aborting with %d active jobs",
@@ -1002,7 +675,7 @@ bool Simulator::Impl::ProcessOneEvent() {
     // surviving tenants finish (Finish()'s own TerminateAllLive is then a
     // no-op — same cost, same uptime samples, charged at the same now_).
     state_.TerminateAllLive(now_);
-    return false;
+    return;
   }
   Advance(event.time);
   ++metrics_.events_processed;
@@ -1046,15 +719,7 @@ bool Simulator::Impl::ProcessOneEvent() {
         if (task->version == event.version && task->state == TaskState::kLaunching) {
           rates_dirty_since_round_ = true;
           lifecycle_.OnLaunchDone(*task, now_);
-          if (!fault_disrupted_at_.empty()) {
-            // A fault-disrupted task is back on a container: close its
-            // re-placement latency sample.
-            const auto it = fault_disrupted_at_.find(task->id);
-            if (it != fault_disrupted_at_.end()) {
-              replacement_latency_s_.push_back(now_ - it->second);
-              fault_disrupted_at_.erase(it);
-            }
-          }
+          market_.OnLaunchDone(task->id, now_);
         }
       }
       break;
@@ -1062,32 +727,15 @@ bool Simulator::Impl::ProcessOneEvent() {
       HandleCompletionCheck(event.time);
       break;
     case SimEventType::kSpotCheck:
-      rates_dirty_since_round_ = true;
-      HandleSpotCheck();
-      break;
     case SimEventType::kSpotPreempt:
-      rates_dirty_since_round_ = true;
-      HandleSpotPreempt(event.a);
-      break;
     case SimEventType::kFaultCheck:
-      rates_dirty_since_round_ = true;
-      HandleFaultCheck();
-      break;
     case SimEventType::kZoneOutage:
-      rates_dirty_since_round_ = true;
-      HandleZoneOutage(static_cast<int>(event.a));
-      break;
     case SimEventType::kDrainStart:
-      rates_dirty_since_round_ = true;
-      HandleDrainStart(static_cast<int>(event.a));
-      break;
     case SimEventType::kDrainDeadline:
-      rates_dirty_since_round_ = true;
-      HandleDrainDeadline(event.a);
+      market_.Handle(event, now_);
       break;
   }
   RecomputeAndArm();
-  return true;
 }
 
 void Simulator::Impl::Start() {
@@ -1131,39 +779,11 @@ SimulationMetrics Simulator::Impl::Finish() {
           : 0.0;
   scheduler_->ExportCounters(metrics_.scheduler_counters);
   state_.FinalizeMetrics(metrics_);
-  if (FaultsActive()) {
-    FaultStats& faults = metrics_.faults;
-    faults.replacements_completed =
-        static_cast<std::int64_t>(replacement_latency_s_.size());
-    if (!replacement_latency_s_.empty()) {
-      faults.replacement_latency_min_s =
-          *std::min_element(replacement_latency_s_.begin(), replacement_latency_s_.end());
-      faults.replacement_latency_median_s = Quantile(replacement_latency_s_, 0.5);
-      faults.replacement_latency_p95_s = Quantile(replacement_latency_s_, 0.95);
-    }
-    // Goodput indicator: executed / (executed + lost), 1.0 in a fault-free
-    // run. `lost_work_seconds` is the re-execution debt a real fleet would
-    // pay for destroyed containers (progress since launch that no
-    // checkpoint preserved) — a ledger quantity layered on top of the
-    // executed-time integral, not a rewind of it.
-    const double executed = state_.TotalRunningSeconds();
-    const double attempted = executed + faults.lost_work_seconds;
-    faults.goodput_ratio = attempted > 0.0 ? executed / attempted : 1.0;
-  }
+  market_.Finish();
   // Project the finished run onto the uniform registry schema (sim.*,
   // scheduler.*, faults.*) next to whatever the per-round sampler recorded.
   PublishSimulationMetrics(metrics_, registry_);
   return metrics_;
-}
-
-SimulationMetrics Simulator::Impl::Run() {
-  Start();
-  while (!queue_.Empty()) {
-    if (!ProcessOneEvent()) {
-      break;
-    }
-  }
-  return Finish();
 }
 
 Simulator::Simulator(const Trace& trace, Scheduler* scheduler, const InstanceCatalog& catalog,
@@ -1171,8 +791,6 @@ Simulator::Simulator(const Trace& trace, Scheduler* scheduler, const InstanceCat
     : impl_(std::make_unique<Impl>(trace, scheduler, catalog, interference, options)) {}
 
 Simulator::~Simulator() = default;
-
-SimulationMetrics Simulator::Run() { return impl_->Run(); }
 
 void Simulator::Start() { impl_->Start(); }
 SimTime Simulator::NextRoundTime() const { return impl_->NextRoundTime(); }
@@ -1187,7 +805,9 @@ SimulationMetrics RunSimulation(const Trace& trace, Scheduler* scheduler,
                                 const InterferenceModel& interference,
                                 const SimulatorOptions& options) {
   Simulator simulator(trace, scheduler, catalog, interference, options);
-  return simulator.Run();
+  simulator.Start();
+  simulator.ProcessEventsThrough(std::numeric_limits<SimTime>::infinity());
+  return simulator.Finish();
 }
 
 }  // namespace eva

@@ -17,9 +17,10 @@
 // through admission (denied when a family pool is exhausted), the catalog
 // gains a spot tier whose per-round quotes the scheduler prices against
 // on-demand, and spot instances receive two-minute preemption warnings that
-// evict and re-checkpoint their tasks. With the provider disabled the
-// engine never consults it and every trajectory is bit-identical to the
-// providerless build.
+// evict and re-checkpoint their tasks. Spot preemptions and injected faults
+// share one capacity-loss path (src/sim/market_events.h). With the provider
+// disabled the engine never consults it and every trajectory is
+// bit-identical to the providerless build.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
@@ -113,10 +114,6 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  // Runs the trace to completion and returns the collected metrics.
-  // Equivalent to Start(); ProcessEventsThrough(+inf); Finish().
-  SimulationMetrics Run();
-
   // --- Stepping API (the federation driver; see federation.h) -----------
   // A federation with a finite provider pool steps its tenants through
   // barriers on one thread: each barrier is the next scheduling round
@@ -159,7 +156,8 @@ class Simulator {
   std::unique_ptr<Impl> impl_;
 };
 
-// Convenience wrapper: construct, run, return metrics.
+// Runs the trace to completion: constructs a Simulator, then Start();
+// ProcessEventsThrough(+inf); Finish().
 SimulationMetrics RunSimulation(const Trace& trace, Scheduler* scheduler,
                                 const InstanceCatalog& catalog,
                                 const InterferenceModel& interference,

@@ -39,11 +39,11 @@ class TaskLifecycle {
   // Starts the container launch if the task is waiting on a ready instance.
   void TryLaunch(TaskRec& task, SimTime now);
 
-  // Spot eviction (preemption warning): detaches the task from its target
-  // without a replacement. A running task checkpoints first (kCheckpointing
-  // with no target; OnCheckpointDone parks it kPending); waiting/launching
-  // tasks drop straight back to kPending. The next scheduling round sees an
-  // unplaced task and re-places it.
+  // Eviction (a spot warning or a drain notice): detaches the task from its
+  // target without a replacement. A running task checkpoints first
+  // (kCheckpointing with no target; OnCheckpointDone parks it kPending);
+  // waiting/launching tasks drop straight back to kPending. The next
+  // scheduling round sees an unplaced task and re-places it.
   void Evict(TaskRec& task, SimTime now);
 
   // Delayed-event completions; stale versions are ignored by the caller
@@ -66,9 +66,9 @@ class TaskLifecycle {
   }
 
  private:
-  // Shared checkpoint-start sequence of Retarget (migration) and Evict
-  // (spot preemption): version bump (cancelling in-flight events),
-  // kCheckpointing, neighbor dirty-mark, delayed completion event.
+  // Shared checkpoint-start sequence of Retarget (migration) and Evict:
+  // version bump (cancelling in-flight events), kCheckpointing, neighbor
+  // dirty-mark, delayed completion event.
   void StartCheckpoint(TaskRec& task, SimTime now);
 
   ClusterState* state_;

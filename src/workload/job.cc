@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <unordered_set>
 
 #include "src/common/csv.h"
 
@@ -71,6 +72,7 @@ std::optional<Trace> Trace::FromCsv(const std::string& csv, const std::string& n
   }
   Trace trace;
   trace.name = name;
+  std::unordered_set<JobId> ids;
   for (std::size_t i = 0; i < table->NumRows(); ++i) {
     JobSpec job;
     try {
@@ -91,7 +93,9 @@ std::optional<Trace> Trace::FromCsv(const std::string& csv, const std::string& n
     if (job.workload == kInvalidWorkloadId || job.num_tasks < 1 ||
         !std::isfinite(job.arrival_time_s) || !std::isfinite(job.duration_s) ||
         job.duration_s <= 0.0 || !IsValidDemand(job.demand_p3) ||
-        !IsValidDemand(job.demand_cpu)) {
+        !IsValidDemand(job.demand_cpu) || job.arrival_time_s < 0.0 ||
+        (!trace.jobs.empty() && job.arrival_time_s < trace.jobs.back().arrival_time_s) ||
+        !ids.insert(job.id).second) {
       return std::nullopt;
     }
     trace.jobs.push_back(job);

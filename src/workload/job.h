@@ -63,7 +63,11 @@ struct Trace {
   // CSV round-trip (columns: id, arrival_s, num_tasks, workload, gpu, cpu,
   // ram, gpu_alt, cpu_alt, ram_alt, duration_s). FromCsv rejects the whole
   // trace on a malformed row: an unknown workload, num_tasks < 1, a
-  // non-finite number, a negative demand component or duration_s <= 0.
+  // non-finite number, a negative demand component or duration_s <= 0. It
+  // also rejects a trace the simulator cannot replay: a job id that repeats
+  // (the cluster state keys jobs by id) or an arrival time that is negative
+  // or earlier than the row before (arrivals are injected in row order, and
+  // a late-injected job would still count its JCT from its CSV arrival).
   std::string ToCsv() const;
   static std::optional<Trace> FromCsv(const std::string& csv, const std::string& name);
 };

@@ -148,20 +148,23 @@ TEST(CloudProviderTest, UnlimitedPoolPeakIsSweptFromLifetimes) {
   options.enabled = true;  // All families unlimited.
   CloudProvider provider(base, options);
 
-  // Overlapping lifetimes [0,1h], [0.5h,3h] and a still-live acquire at 2h:
-  // concurrency peaks at 2 (never 3), whatever order the tallies landed in.
+  // Overlapping lifetimes [0,1h], [0.5h,3h] and [2h,4h], released out of
+  // start order: concurrency peaks at 2 (never 3), whatever order the
+  // tallies landed in. FinalizeMetrics runs once everything is released.
   EXPECT_TRUE(provider.TryAcquire(0, 0.0));
   EXPECT_TRUE(provider.TryAcquire(1, 1800.0));
   provider.Release(0, 0.0, 3600.0);
   EXPECT_TRUE(provider.TryAcquire(2, 7200.0));
+  provider.Release(2, 7200.0, 14400.0);
   provider.Release(1, 1800.0, 10800.0);
 
   const CloudProviderMetrics metrics = provider.FinalizeMetrics(14400.0);
   const auto& p3 = metrics.families[0];
   EXPECT_EQ(p3.granted, 3);
-  EXPECT_EQ(p3.released, 2);
+  EXPECT_EQ(p3.released, 3);
   EXPECT_EQ(p3.denied, 0);
   EXPECT_EQ(p3.peak_in_use, 2);
+  EXPECT_DOUBLE_EQ(p3.instance_hours, 1.0 + 2.5 + 2.0);
 }
 
 TEST(CloudProviderTest, InstanceCostUsesSpotTraceForSpotTypes) {

@@ -174,7 +174,7 @@ TEST(FederationTest, ConstrainedSpotScenarioDeniesAndPreempts) {
 }
 
 // With one tenant, unlimited pools and no spot tier, the federation
-// protocol must reproduce a plain Simulator::Run bit-for-bit: the provider
+// protocol must reproduce a plain RunSimulation bit-for-bit: the provider
 // is pass-through (admission always grants, the cost hook evaluates the
 // exact same expression) and the stepping API processes the exact same
 // event sequence.

@@ -13,7 +13,9 @@
 // engine folded same-time duplicate completion checks; the fold must leave
 // every simulated value of that trace bit-identical. `events_processed` is
 // pinned at the folded engine's counts, so a regrowth of duplicate checks
-// fails here even though it moves no metric.
+// fails here even though it moves no metric. The market-regime golden was
+// recorded on commit 6366e35, before spot and fault handling moved into
+// MarketEvents.
 
 #include <gtest/gtest.h>
 
@@ -366,6 +368,64 @@ TEST(SimulatorGoldenTest, RoundBatchingDisabledInPhysicalMode) {
   const SimulationMetrics metrics =
       RunSimulation(trace, bundle.scheduler.get(), catalog, interference, options);
   EXPECT_EQ(metrics.rounds_coalesced, 0);
+}
+
+// The market regime: the seed-17 Alibaba-like trace at 400 jobs on capped
+// pools, with the spot market and fault injection on (the settings of the
+// benchmark's hostile federation, on one simulator). Spot warnings, expired
+// notices, zone outages, drains and correlated bursts all fire, so this pins
+// every capacity-loss path, and the order of their same-time events, exactly.
+TEST(SimulatorGoldenTest, MarketRegimeIsBitExact) {
+  AlibabaTraceOptions trace_options;
+  trace_options.num_jobs = 400;
+  trace_options.seed = 17;
+  trace_options.max_duration_hours = 48.0;
+  const Trace trace = GenerateAlibabaTrace(trace_options);
+  const InstanceCatalog catalog = InstanceCatalog::AwsDefault();
+  const InterferenceModel interference = InterferenceModel::Measured();
+  SchedulerBundle bundle = MakeScheduler(SchedulerKind::kEva, interference);
+  SimulatorOptions options;
+  options.provider.enabled = true;
+  options.provider.family_capacity = {4, 10, 6};
+  options.provider.spot.enabled = true;
+  options.provider.spot.seed = 4242;
+  options.provider.spot.spike_probability = 0.06;
+  options.faults.enabled = true;
+  options.faults.seed = 97;
+  const SimulationMetrics m =
+      RunSimulation(trace, bundle.scheduler.get(), catalog, interference, options);
+
+  EXPECT_EQ(m.jobs_completed, 400);
+  EXPECT_EQ(m.total_cost, 2011.3134495018487);
+  EXPECT_EQ(m.spot_cost, 1958.5709495018484);
+  EXPECT_EQ(m.avg_jct_hours, 2.766624120991537);
+  EXPECT_EQ(m.events_processed, 8092);
+  EXPECT_EQ(m.scheduling_rounds, 2253);
+  EXPECT_EQ(m.acquisitions_denied, 493);
+  EXPECT_EQ(m.spot_preemptions, 109);
+  EXPECT_EQ(m.spot_instances_launched, 577);
+  EXPECT_EQ(m.task_migrations, 696);
+
+  const FaultStats& f = m.faults;
+  EXPECT_EQ(f.zone_outages, 56);
+  EXPECT_EQ(f.correlated_failures, 6);
+  EXPECT_EQ(f.maintenance_drains, 28);
+  EXPECT_EQ(f.instances_killed, 39);
+  EXPECT_EQ(f.instances_drained, 15);
+  EXPECT_EQ(f.tasks_evicted, 35);
+  EXPECT_EQ(f.tasks_lost, 99);
+  EXPECT_EQ(f.lost_work_seconds, 309556.0);
+  EXPECT_EQ(f.replacements_completed, 136);
+  EXPECT_EQ(f.replacement_latency_min_s, 143.0);
+  EXPECT_EQ(f.replacement_latency_median_s, 511.0);
+  EXPECT_EQ(f.replacement_latency_p95_s, 669.0);
+  EXPECT_EQ(f.goodput_ratio, 0.91374373100419026);
+
+  // Every capacity-loss path ran at least once.
+  EXPECT_GT(m.spot_preemptions, 0);
+  EXPECT_GT(f.zone_outages, 0);
+  EXPECT_GT(f.maintenance_drains, 0);
+  EXPECT_GT(f.correlated_failures, 0);
 }
 
 TEST(SimulatorGoldenTest, EngineCountsEvents) {

@@ -312,6 +312,28 @@ TEST(TraceCsvTest, RejectsNegativeDemands) {
   }
 }
 
+// A two-job trace's CSV with the given ids and arrival times.
+std::string TwoJobCsv(JobId first_id, SimTime first_arrival, JobId second_id,
+                      SimTime second_arrival) {
+  Trace trace;
+  trace.name = "two";
+  trace.jobs.push_back(JobSpec::FromWorkload(first_id, first_arrival, 0, 3600.0, 1));
+  trace.jobs.push_back(JobSpec::FromWorkload(second_id, second_arrival, 0, 3600.0, 1));
+  return trace.ToCsv();
+}
+
+TEST(TraceCsvTest, RejectsDuplicateJobIds) {
+  EXPECT_TRUE(Trace::FromCsv(TwoJobCsv(0, 10.0, 1, 20.0), "x").has_value());
+  EXPECT_FALSE(Trace::FromCsv(TwoJobCsv(3, 10.0, 3, 20.0), "x").has_value());
+}
+
+TEST(TraceCsvTest, RejectsDecreasingOrNegativeArrivals) {
+  // Equal arrival times are fine; a decrease or a negative time is not.
+  EXPECT_TRUE(Trace::FromCsv(TwoJobCsv(0, 10.0, 1, 10.0), "x").has_value());
+  EXPECT_FALSE(Trace::FromCsv(TwoJobCsv(0, 20.0, 1, 10.0), "x").has_value());
+  EXPECT_FALSE(Trace::FromCsv(CsvWithField(1, "-1"), "x").has_value());
+}
+
 // --- ScaleTrace property tests (the 10k/50k/100k bench scaler) ----------
 
 Trace ScalerSource() {
