@@ -257,7 +257,7 @@ bool RunEngineThroughputCases() {
   const SimulationMetrics exact_2k =
       RunEngineCase(json, eva_2k, base, SchedulerKind::kEva, interference, /*runs=*/3);
 
-  // The 2k trace sits below incremental_auto_min_jobs (it is the
+  // The 2k trace sits below EvaScheduler::kIncrementalAutoMinJobs (it is the
   // golden-pinned evaluation trace, kept bit-identical), so the 2k quality
   // comparison forces the fast path on explicitly.
   EvaOptions force_incremental;

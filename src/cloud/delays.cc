@@ -19,11 +19,11 @@ SimTime DelayRange::Sample(Rng& rng) const {
   return rng.Uniform(std::min(average_s, max_s), max_s);
 }
 
-SimTime CloudDelayModel::ProvisioningDelay(Rng* rng) const {
+SimTime ProvisioningDelay(Rng* rng) {
   if (rng == nullptr) {
-    return acquisition.Mean() + setup.Mean();
+    return kAcquisitionDelay.Mean() + kSetupDelay.Mean();
   }
-  return acquisition.Sample(*rng) + setup.Sample(*rng);
+  return kAcquisitionDelay.Sample(*rng) + kSetupDelay.Sample(*rng);
 }
 
 }  // namespace eva

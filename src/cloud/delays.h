@@ -39,18 +39,13 @@ struct DelayRange {
 };
 
 // Cloud-side delays from Table 1.
-struct CloudDelayModel {
-  DelayRange acquisition{6.0, 83.0, 19.0};
-  DelayRange setup{140.0, 251.0, 190.0};
+inline constexpr DelayRange kAcquisitionDelay{6.0, 83.0, 19.0};
+inline constexpr DelayRange kSetupDelay{140.0, 251.0, 190.0};
 
-  // Global multiplier applied to *job* migration delays (checkpoint+launch)
-  // by the Figure 5 sweep. Instance delays are unaffected there, but the
-  // sweep helper scales everything the paper scales.
-  double migration_delay_multiplier = 1.0;
-
-  // Total provisioning latency (acquisition + setup) for one instance.
-  SimTime ProvisioningDelay(Rng* rng) const;
-};
+// Total provisioning latency (acquisition + setup) for one instance: the
+// Table 1 averages when `rng` is null (simulated mode), one draw from each
+// range otherwise (physical mode).
+SimTime ProvisioningDelay(Rng* rng);
 
 }  // namespace eva
 

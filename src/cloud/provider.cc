@@ -93,17 +93,6 @@ CloudProvider::CloudProvider(const InstanceCatalog& base, CloudProviderOptions o
   }
 }
 
-std::unique_ptr<InstanceCatalog> CloudProvider::MakeQuoteCatalog(
-    SimTime now, double risk_premium) const {
-  if (!spot_enabled()) {
-    return std::make_unique<InstanceCatalog>(base_.types());
-  }
-  return std::make_unique<InstanceCatalog>(
-      TieredTypes(base_, [this, now, risk_premium](int index, Money) {
-        return market_.Quote(index, now) * (1.0 + risk_premium);
-      }));
-}
-
 std::shared_ptr<const InstanceCatalog> CloudProvider::SharedQuoteCatalog(
     SimTime now, double risk_premium) const {
   std::lock_guard<std::mutex> lock(quote_mutex_);
@@ -119,8 +108,8 @@ std::shared_ptr<const InstanceCatalog> CloudProvider::SharedQuoteCatalog(
   if (it != quote_cache_.end()) {
     return it->second;
   }
-  // Same prices as MakeQuoteCatalog bit-for-bit: Quote(now) ==
-  // QuoteAtStep(StepOf(now)), and every `now` in this step maps here.
+  // Quote(now) == QuoteAtStep(StepOf(now)), and every `now` in this step
+  // maps here.
   auto snapshot = std::make_shared<const InstanceCatalog>(
       TieredTypes(base_, [this, step, risk_premium](int index, Money) {
         return market_.QuoteAtStep(index, step) * (1.0 + risk_premium);
@@ -182,6 +171,7 @@ CloudProviderMetrics CloudProvider::FinalizeMetrics(SimTime horizon) const {
   for (std::size_t f = 0; f < static_cast<std::size_t>(kNumInstanceFamilies); ++f) {
     const FamilyShard& shard = shards_[f];
     std::lock_guard<std::mutex> lock(shard.mutex);
+    EVA_CHECK(shard.in_use == 0, "provider finalized with a live grant");
     CloudProviderMetrics::Family& out = metrics.families[f];
     out.capacity = options_.family_capacity[f];
     out.granted = shard.granted;

@@ -151,21 +151,16 @@ class CloudProvider {
   }
 
   // Decision-price snapshot at time `now`: base entries verbatim, spot
-  // entries at quote x (1 + risk_premium). Fresh object per call — pricing
-  // caches key on catalog identity, so a new snapshot invalidates them.
-  std::unique_ptr<InstanceCatalog> MakeQuoteCatalog(SimTime now,
-                                                    double risk_premium) const;
-
-  // The same snapshot, shared and cached by (price step, risk premium):
-  // spot prices are a pure function of the step, so every round that falls
-  // in one step sees the *same object*. Two consequences the federation
-  // leans on: (a) N tenants rounding in the same step build one catalog
-  // instead of N, from any thread, in any order; (b) catalog identity now
-  // means "prices bit-identical", so scheduler-side caches keyed on catalog
-  // identity (round memos, TNRP rebinds) stay exactly as valid as with
-  // per-round fresh snapshots. Entries are never evicted — the map is
-  // bounded by horizon / price_step (and reusing a freed address for a new
-  // step would alias identity-keyed caches).
+  // entries at quote x (1 + risk_premium). Shared and cached by (price
+  // step, risk premium): spot prices are a pure function of the step, so
+  // every round that falls in one step sees the *same object*. Two
+  // consequences the federation leans on: (a) N tenants rounding in the
+  // same step build one catalog instead of N, from any thread, in any
+  // order; (b) catalog identity means "prices bit-identical", so
+  // scheduler-side caches keyed on catalog identity (round memos, TNRP
+  // rebinds) are invalidated exactly when prices move. Entries are never
+  // evicted — the map is bounded by horizon / price_step (and reusing a
+  // freed address for a new step would alias identity-keyed caches).
   std::shared_ptr<const InstanceCatalog> SharedQuoteCatalog(
       SimTime now, double risk_premium) const;
 
@@ -199,11 +194,11 @@ class CloudProvider {
   // may interleave across threads; ties count a start before an end, so
   // touching intervals overlap).
   //
-  // Contract: call it once every instance is released. Instance-hours and
-  // the unlimited-pool peak are built from released lifetimes only, so a
-  // still-live instance counts in neither. Simulator::Finish releases
-  // whatever a tenant still holds, and RunFederation finalizes after every
-  // tenant's Finish.
+  // Contract: call it once every instance is released (checked: a family
+  // with a live grant aborts). Instance-hours and the unlimited-pool peak
+  // are built from released lifetimes only, so a still-live instance would
+  // count in neither. Simulator::Finish releases whatever a tenant still
+  // holds, and RunFederation finalizes after every tenant's Finish.
   CloudProviderMetrics FinalizeMetrics(SimTime horizon) const;
 
  private:

@@ -58,22 +58,18 @@ bool SameInstance(const InstanceInfo& a, const InstanceInfo& b) {
 EvaScheduler::EvaScheduler(EvaOptions options)
     : options_(std::move(options)),
       monitor_(options_.default_pairwise_throughput),
-      estimator_(EventRateEstimator::Options{}),
       incremental_active_(options_.incremental_packing ==
                           EvaOptions::IncrementalPacking::kOn) {}
 
 void EvaScheduler::BindWorkloadScale(std::size_t expected_jobs) {
   if (options_.incremental_packing == EvaOptions::IncrementalPacking::kAuto) {
-    incremental_active_ = expected_jobs >= options_.incremental_auto_min_jobs;
+    incremental_active_ = expected_jobs >= kIncrementalAutoMinJobs;
   }
 }
 
 void EvaScheduler::ExportCounters(SchedulerCounters& out) const { out = stats_; }
 
 std::string EvaScheduler::name() const {
-  if (!options_.name.empty()) {
-    return options_.name;
-  }
   std::string base = "Eva";
   if (!options_.tnrp.interference_aware) {
     base += "-RP";
@@ -171,7 +167,6 @@ bool EvaScheduler::SameDecisionInputs(const SchedulingContext& context) const {
 }
 
 void EvaScheduler::ComputeCandidates(const SchedulingContext& context) {
-  const PackingOptions packing;
   const bool want_full = options_.policy != EvaOptions::Policy::kPartialOnly;
   const bool want_partial = options_.policy != EvaOptions::Policy::kFullOnly;
 
@@ -182,12 +177,12 @@ void EvaScheduler::ComputeCandidates(const SchedulingContext& context) {
   // memo cannot be the pack destination directly. A candidate the policy
   // does not compute is emptied, matching the fresh-local semantics.
   if (want_full) {
-    ComputeFullCandidate(context, packing);
+    ComputeFullCandidate(context);
   } else {
     work_full_.instances.clear();
   }
   if (want_partial) {
-    PartialReconfigurationInto(context, *calculator_, packing, work_partial_);
+    PartialReconfigurationInto(context, *calculator_, {}, work_partial_);
   } else {
     work_partial_.instances.clear();
   }
@@ -204,18 +199,16 @@ void EvaScheduler::ComputeCandidates(const SchedulingContext& context) {
 
 void EvaScheduler::NoteExactIncumbent() {
   packs_since_reconcile_ = 0;
-  reconcile_requested_ = false;
   // Truthful by construction — the incumbent IS the exact configuration.
   // This is also what lets an escalated policy clear its divergence latch:
   // while escalated no incremental config exists to diverge.
   escalation_.RecordDivergence(0.0);
 }
 
-void EvaScheduler::Reconcile(const SchedulingContext& context,
-                             const PackingOptions& packing) {
+void EvaScheduler::Reconcile(const SchedulingContext& context) {
   // The incremental candidate sits in work_full_; compute the exact repack
   // alongside and measure how far the fast path drifted.
-  FullReconfigurationInto(context, *calculator_, packing, reconcile_exact_);
+  FullReconfigurationInto(context, *calculator_, {}, reconcile_exact_);
   const Money cost_incremental = work_full_.HourlyCost(*context.catalog);
   const Money cost_exact = reconcile_exact_.HourlyCost(*context.catalog);
   const double divergence = std::abs(cost_incremental - cost_exact) /
@@ -244,13 +237,11 @@ void EvaScheduler::Reconcile(const SchedulingContext& context,
   // whatever accumulates before the next reconciliation.
   std::swap(work_full_, reconcile_exact_);
   packs_since_reconcile_ = 0;
-  reconcile_requested_ = false;
 }
 
-void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
-                                        const PackingOptions& packing) {
+void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context) {
   if (!incremental_active_) {
-    FullReconfigurationInto(context, *calculator_, packing, work_full_);
+    FullReconfigurationInto(context, *calculator_, {}, work_full_);
     ++stats_.packs_full;
     if (trace_) {
       trace_.recorder->Instant(trace_.track, "eva.pack.full", context.now_s);
@@ -258,7 +249,7 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
     return;
   }
   if (escalation_.escalated()) {
-    FullReconfigurationInto(context, *calculator_, packing, work_full_);
+    FullReconfigurationInto(context, *calculator_, {}, work_full_);
     ++stats_.packs_escalated;
     escalation_.RecordPack(/*fell_back=*/false);
     NoteExactIncumbent();
@@ -268,74 +259,71 @@ void EvaScheduler::ComputeFullCandidate(const SchedulingContext& context,
     }
     return;
   }
-  if (!memo_.valid) {
-    FullReconfigurationInto(context, *calculator_, packing, work_full_);
+  // The first pack has no previous configuration (memo_.full is empty), so
+  // it falls back with kFullNoPrevious.
+  const IncrementalOutcome outcome =
+      IncrementalReconfigurationInto(context, *calculator_, memo_.full, work_full_);
+  const bool fell_back = outcome != IncrementalOutcome::kIncremental;
+  if (fell_back) {
+    // work_full_ already holds the exact repack, so no reconciliation is
+    // owed; account for the reason and let the fallback-rate EMA see it.
     ++stats_.packs_full;
-    ++stats_.fallback_no_previous;
-    escalation_.RecordPack(/*fell_back=*/true);
-    NoteExactIncumbent();
-    if (trace_) {
-      trace_.recorder->Instant(trace_.track, "eva.pack.fallback",
-                               context.now_s, "reason", 2.0);
+    double fallback_reason = 0.0;
+    switch (outcome) {
+      case IncrementalOutcome::kFullIncompleteDelta:
+        ++stats_.fallback_incomplete_delta;
+        fallback_reason = 0.0;
+        break;
+      case IncrementalOutcome::kFullNoPrevious:
+        ++stats_.fallback_no_previous;
+        fallback_reason = 2.0;
+        break;
+      case IncrementalOutcome::kFullOversizedDelta:
+        ++stats_.fallback_oversized_delta;
+        fallback_reason = 1.0;
+        break;
+      case IncrementalOutcome::kIncremental:
+        break;  // Unreachable.
     }
-    return;
-  }
-  IncrementalOptions incremental;
-  incremental.packing = packing;
-  const IncrementalOutcome outcome = IncrementalReconfigurationInto(
-      context, *calculator_, memo_.full, incremental, work_full_);
-  if (outcome == IncrementalOutcome::kIncremental) {
+    if (trace_) {
+      trace_.recorder->Instant(trace_.track, "eva.pack.fallback", context.now_s,
+                               "reason", fallback_reason);
+    }
+  } else {
     ++stats_.packs_incremental;
     if (trace_) {
       trace_.recorder->Instant(trace_.track, "eva.pack.incremental",
                                context.now_s, "staleness",
                                static_cast<double>(packs_since_reconcile_ + 1));
     }
-    {
-      const int before = escalation_.escalations();
-      escalation_.RecordPack(/*fell_back=*/false);
-      stats_.escalations += escalation_.escalations() - before;
-    }
-    ++packs_since_reconcile_;
-    stats_.max_kept_staleness =
-        std::max(stats_.max_kept_staleness, packs_since_reconcile_);
-    if (reconcile_requested_ || (options_.reconcile_every_n_packs > 0 &&
-                                 packs_since_reconcile_ >= options_.reconcile_every_n_packs)) {
-      Reconcile(context, packing);
-    }
+  }
+  const int before = escalation_.escalations();
+  escalation_.RecordPack(fell_back);
+  stats_.escalations += escalation_.escalations() - before;
+  if (fell_back) {
+    NoteExactIncumbent();
     return;
   }
-  // The incremental path fell back — work_full_ already holds the exact
-  // repack, so no reconciliation is owed; account for the reason and let
-  // the fallback-rate EMA see it.
-  ++stats_.packs_full;
-  double fallback_reason = 0.0;
-  switch (outcome) {
-    case IncrementalOutcome::kFullIncompleteDelta:
-      ++stats_.fallback_incomplete_delta;
-      fallback_reason = 0.0;
-      break;
-    case IncrementalOutcome::kFullNoPrevious:
-      ++stats_.fallback_no_previous;
-      fallback_reason = 2.0;
-      break;
-    case IncrementalOutcome::kFullOversizedDelta:
-      ++stats_.fallback_oversized_delta;
-      fallback_reason = 1.0;
-      break;
-    case IncrementalOutcome::kIncremental:
-      break;  // Unreachable.
+  ++packs_since_reconcile_;
+  stats_.max_kept_staleness =
+      std::max(stats_.max_kept_staleness, packs_since_reconcile_);
+  if (packs_since_reconcile_ >= kReconcileEveryNPacks) {
+    Reconcile(context);
   }
-  if (trace_) {
-    trace_.recorder->Instant(trace_.track, "eva.pack.fallback", context.now_s,
-                             "reason", fallback_reason);
+}
+
+bool EvaScheduler::AdoptFull() const {
+  switch (options_.policy) {
+    case EvaOptions::Policy::kFullOnly:
+      return true;
+    case EvaOptions::Policy::kPartialOnly:
+      return false;
+    case EvaOptions::Policy::kEnsemble:
+      break;
   }
-  {
-    const int before = escalation_.escalations();
-    escalation_.RecordPack(/*fell_back=*/true);
-    stats_.escalations += escalation_.escalations() - before;
-  }
-  NoteExactIncumbent();
+  return ShouldAdoptFull(memo_.saving_full, memo_.saving_partial, memo_.migration_full,
+                         memo_.migration_partial,
+                         estimator_.ExpectedConfigurationDurationHours());
 }
 
 bool EvaScheduler::DecideRound(const SchedulingContext& context) {
@@ -365,38 +353,23 @@ bool EvaScheduler::DecideRound(const SchedulingContext& context) {
     ComputeCandidates(context);
   }
 
-  bool adopt_full = false;
-  switch (options_.policy) {
-    case EvaOptions::Policy::kFullOnly:
-      adopt_full = true;
-      break;
-    case EvaOptions::Policy::kPartialOnly:
-      adopt_full = false;
-      break;
-    case EvaOptions::Policy::kEnsemble: {
-      if (!memo_.savings_valid) {
-        memo_.saving_full = ProvisioningSaving(context, *calculator_, memo_.full);
-        memo_.saving_partial = ProvisioningSaving(context, *calculator_, memo_.partial);
-        DiffConfigInto(context, memo_.full, pricing_diff_);
-        memo_.migration_full =
-            EstimateMigrationCost(context, pricing_diff_, options_.cloud_delays,
-                                  options_.migration_delay_multiplier);
-        DiffConfigInto(context, memo_.partial, pricing_diff_);
-        memo_.migration_partial =
-            EstimateMigrationCost(context, pricing_diff_, options_.cloud_delays,
-                                  options_.migration_delay_multiplier);
-        memo_.savings_valid = true;
-      }
-      const double d_hat = estimator_.ExpectedConfigurationDurationHours();
-      adopt_full = ShouldAdoptFull(memo_.saving_full, memo_.saving_partial,
-                                   memo_.migration_full, memo_.migration_partial, d_hat);
-      EVA_LOG_DEBUG(
-          "round t=%.0f: S_F=%.3f S_P=%.3f M_F=%.3f M_P=%.3f D=%.2fh -> %s", context.now_s,
-          memo_.saving_full, memo_.saving_partial, memo_.migration_full,
-          memo_.migration_partial, d_hat, adopt_full ? "full" : "partial");
-      break;
-    }
+  if (options_.policy == EvaOptions::Policy::kEnsemble && !memo_.savings_valid) {
+    memo_.saving_full = ProvisioningSaving(context, *calculator_, memo_.full);
+    memo_.saving_partial = ProvisioningSaving(context, *calculator_, memo_.partial);
+    DiffConfigInto(context, memo_.full, pricing_diff_);
+    memo_.migration_full =
+        EstimateMigrationCost(context, pricing_diff_, options_.migration_delay_multiplier);
+    DiffConfigInto(context, memo_.partial, pricing_diff_);
+    memo_.migration_partial =
+        EstimateMigrationCost(context, pricing_diff_, options_.migration_delay_multiplier);
+    memo_.savings_valid = true;
   }
+  const bool adopt_full = AdoptFull();
+  EVA_LOG_DEBUG("round t=%.0f: S_F=%.3f S_P=%.3f M_F=%.3f M_P=%.3f D=%.2fh -> %s",
+                context.now_s, memo_.saving_full, memo_.saving_partial,
+                memo_.migration_full, memo_.migration_partial,
+                estimator_.ExpectedConfigurationDurationHours(),
+                adopt_full ? "full" : "partial");
 
   // An unchanged round has, by definition, the same active job set.
   const int events = unchanged ? 0 : CountJobEvents(context);
@@ -445,21 +418,7 @@ int EvaScheduler::CoalesceQuiescentRounds(int max_rounds, SimTime period_s) {
     // drifts as the estimator records event-free rounds, so the ensemble
     // choice can flip mid-quiescence; that round must run live and actually
     // reconfigure the cluster.
-    bool adopt_full = false;
-    switch (options_.policy) {
-      case EvaOptions::Policy::kFullOnly:
-        adopt_full = true;
-        break;
-      case EvaOptions::Policy::kPartialOnly:
-        adopt_full = false;
-        break;
-      case EvaOptions::Policy::kEnsemble: {
-        const double d_hat = estimator_.ExpectedConfigurationDurationHours();
-        adopt_full = ShouldAdoptFull(memo_.saving_full, memo_.saving_partial,
-                                     memo_.migration_full, memo_.migration_partial, d_hat);
-        break;
-      }
-    }
+    const bool adopt_full = AdoptFull();
     if (adopt_full != last_adopt_full_) {
       break;
     }

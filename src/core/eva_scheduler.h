@@ -20,13 +20,13 @@
 // (a median of 8 tasks on the 2,000-job trace, 41 on 10,000 jobs), too
 // small for a Full∥Partial or packing fan-out to pay for its hand-offs.
 // The incremental fast path (incremental_packing — on by default for
-// workloads of >= incremental_auto_min_jobs jobs, see IncrementalPacking)
+// workloads of >= kIncrementalAutoMinJobs jobs, see IncrementalPacking)
 // replaces Full Reconfiguration with delta-touched repacking via
-// IncrementalReconfiguration, bounded by a control loop: every
-// reconcile_every_n_packs packs (and on demand) the exact repack runs
-// alongside the incumbent, divergence is measured (cost delta, config edit
-// distance, staleness) and the exact result adopted; an EscalationPolicy
-// with hysteresis forces exact packing when divergence or the fallback rate
+// IncrementalReconfigurationInto, bounded by a control loop: every
+// kReconcileEveryNPacks packs the exact repack runs alongside the
+// incumbent, divergence is measured (cost delta, config edit distance,
+// staleness) and the exact result adopted; an EscalationPolicy with
+// hysteresis forces exact packing when divergence or the fallback rate
 // spikes. All counters are exported through Scheduler::ExportCounters.
 
 #ifndef SRC_CORE_EVA_SCHEDULER_H_
@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "src/cloud/delays.h"
 #include "src/common/soa_table.h"
 #include "src/core/reconfig_decision.h"
 #include "src/core/throughput_monitor.h"
@@ -46,8 +45,6 @@
 #include "src/sched/scheduler.h"
 
 namespace eva {
-
-struct PackingOptions;  // full_reconfig.h — referenced by the pack helpers.
 
 struct EvaOptions {
   // Which reconfiguration algorithms may be adopted.
@@ -64,7 +61,8 @@ struct EvaOptions {
   // Default pairwise throughput t for unobserved co-locations (§4.3).
   double default_pairwise_throughput = 0.95;
 
-  CloudDelayModel cloud_delays;
+  // Scales the job checkpoint+launch delays priced into the migration cost
+  // M (the Figure 5 sweep sets it alongside the simulator's own).
   double migration_delay_multiplier = 1.0;
 
   // --- Decision-path performance knob (bit-identical results) -----------
@@ -80,31 +78,17 @@ struct EvaOptions {
   // Replace Full Reconfiguration with delta-touched repacking seeded from
   // the previous round's configuration (see incremental_reconfig.h),
   // bounded by periodic exact-repack reconciliation and the auto-escalation
-  // policy (EscalationPolicy, at its default thresholds). kAuto — the default — turns the fast path on only when
-  // the bound workload (Scheduler::BindWorkloadScale) reaches
-  // `incremental_auto_min_jobs`: small traces (the golden-pinned evaluation
-  // paths) keep the exact Algorithm 1 output every round bit-identically,
-  // large traces get the production fast path.
+  // policy (EscalationPolicy). kAuto — the default — turns the fast path on
+  // only when the bound workload (Scheduler::BindWorkloadScale) reaches
+  // EvaScheduler::kIncrementalAutoMinJobs: small traces (the golden-pinned
+  // evaluation paths) keep the exact Algorithm 1 output every round
+  // bit-identically, large traces get the production fast path.
   enum class IncrementalPacking {
-    kAuto,  // On iff the bound workload has >= incremental_auto_min_jobs.
+    kAuto,  // On iff the bound workload has >= kIncrementalAutoMinJobs.
     kOff,   // Exact Algorithm 1 every round.
     kOn,    // Always on, regardless of workload scale.
   };
   IncrementalPacking incremental_packing = IncrementalPacking::kAuto;
-  std::size_t incremental_auto_min_jobs = 10000;
-
-  // Bounded-divergence reconciliation cadence: after this many consecutive
-  // packs without a known-exact incumbent, run FullReconfiguration alongside
-  // the incremental result, measure the divergence (cost delta, config edit
-  // distance) and adopt the exact configuration. Counted in *packs* — actual
-  // ComputeCandidates invocations — not rounds: memo-replayed and coalesced
-  // rounds reproduce the incumbent verbatim, so divergence cannot change
-  // there, and the cadence stays deterministic under batching. <= 0
-  // disables periodic reconciliation (on-demand still works).
-  int reconcile_every_n_packs = 64;
-
-  // Custom display name; empty derives one from the options.
-  std::string name;
 };
 
 class EvaScheduler : public Scheduler {
@@ -113,6 +97,19 @@ class EvaScheduler : public Scheduler {
   // rounds_reused and its misses, rounds_coalesced) and the incremental fast
   // path's pack/fallback/reconciliation counters: one SchedulerCounters.
   using Stats = SchedulerCounters;
+
+  // kAuto turns the incremental fast path on for workloads of at least this
+  // many jobs.
+  static constexpr std::size_t kIncrementalAutoMinJobs = 10000;
+
+  // Bounded-divergence reconciliation cadence: after this many consecutive
+  // packs without a known-exact incumbent, run FullReconfiguration alongside
+  // the incremental result, measure the divergence (cost delta, config edit
+  // distance) and adopt the exact configuration. Counted in *packs* — actual
+  // ComputeCandidates invocations — not rounds: memo-replayed and coalesced
+  // rounds reproduce the incumbent verbatim, so divergence cannot change
+  // there, and the cadence stays deterministic under batching.
+  static constexpr int kReconcileEveryNPacks = 64;
 
   explicit EvaScheduler(EvaOptions options = {});
 
@@ -127,17 +124,11 @@ class EvaScheduler : public Scheduler {
   // escalations), stamped at context.now_s.
   void BindTrace(const TraceBinding& binding) override { trace_ = binding; }
 
-  // On-demand reconciliation: the next incremental pack runs the exact
-  // repack alongside, measures divergence, and adopts the exact result —
-  // regardless of where the periodic cadence stands. No-op in exact mode.
-  void RequestReconciliation() { reconcile_requested_ = true; }
-
   // Whether the incremental fast path is live for this run (kOn, or kAuto
   // resolved against the bound workload scale).
   bool incremental_active() const { return incremental_active_; }
 
   const Stats& stats() const { return stats_; }
-  const EscalationPolicy& escalation() const { return escalation_; }
   const ThroughputTable& throughput_table() const { return monitor_.table(); }
   const EventRateEstimator& event_estimator() const { return estimator_; }
 
@@ -157,17 +148,21 @@ class EvaScheduler : public Scheduler {
 
   // Computes the round's Full candidate into work_full_ — exact, or via the
   // incremental fast path with fallback/escalation/reconciliation
-  // accounting. `packing` is the round's packing options.
-  void ComputeFullCandidate(const SchedulingContext& context, const PackingOptions& packing);
+  // accounting.
+  void ComputeFullCandidate(const SchedulingContext& context);
 
   // Bounded-divergence reconciliation: runs FullReconfiguration alongside
   // the incremental candidate already in work_full_, measures divergence,
   // feeds the escalation policy, and swaps the exact result into work_full_.
-  void Reconcile(const SchedulingContext& context, const PackingOptions& packing);
+  void Reconcile(const SchedulingContext& context);
 
   // The incumbent candidate in work_full_ is known exact: staleness resets
   // and the policy truthfully observes zero divergence.
   void NoteExactIncumbent();
+
+  // Equation 1 under the configured policy, over the memoized candidates'
+  // prices (priced whenever the policy is the ensemble).
+  bool AdoptFull() const;
 
   // The whole per-round decision (memo reuse, candidate computation,
   // Equation 1, estimator bookkeeping); returns whether Full was adopted.
@@ -188,7 +183,6 @@ class EvaScheduler : public Scheduler {
   bool incremental_active_ = false;
   EscalationPolicy escalation_;
   int packs_since_reconcile_ = 0;  // Packs with a possibly-inexact incumbent.
-  bool reconcile_requested_ = false;
   ClusterConfig reconcile_exact_;  // Exact-repack buffer (capacity reused).
 
   // Span sink on the owning simulator's track; unbound (null recorder)

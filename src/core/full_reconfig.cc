@@ -87,8 +87,7 @@ ArgmaxResult ScanCandidates(const std::vector<const TaskInfo*>& pool, PackScratc
 void PackByReservationPriceInto(const SchedulingContext& context,
                                 const TnrpCalculator& calculator,
                                 std::vector<const TaskInfo*>& pool,
-                                const PackingOptions& options, ConfigAppender& out,
-                                std::vector<TaskId>* unassigned) {
+                                const PackingOptions& options, ConfigAppender& out) {
   // Deterministic candidate order: descending RP, then ascending id. The
   // argmax below breaks ties by this order, matching the VSBPP heuristic's
   // "largest ball first" intuition.
@@ -220,38 +219,17 @@ void PackByReservationPriceInto(const SchedulingContext& context,
     if (assigned[i]) {
       continue;
     }
-    if (!options.assign_leftovers_standalone) {
-      if (unassigned != nullptr) {
-        unassigned->push_back(pool[i]->id);
-      }
-      continue;
-    }
     const std::optional<int> type_index = context.catalog->CheapestFitting(
         [task = pool[i]](InstanceFamily family) { return task->DemandFor(family); });
     if (!type_index.has_value()) {
       EVA_LOG_WARNING("task " EVA_PRId64 " fits no instance type; leaving unassigned",
                       pool[i]->id);
-      if (unassigned != nullptr) {
-        unassigned->push_back(pool[i]->id);
-      }
       continue;
     }
     ConfigInstance& instance = out.Append();
     instance.type_index = *type_index;
     instance.tasks.push_back(pool[i]->id);
   }
-}
-
-PackingResult PackByReservationPrice(const SchedulingContext& context,
-                                     const TnrpCalculator& calculator,
-                                     std::vector<const TaskInfo*> pool,
-                                     const PackingOptions& options) {
-  PackingResult result;
-  ConfigAppender out(result.instances);
-  PackByReservationPriceInto(context, calculator, pool, options, out,
-                             &result.unassigned);
-  out.Finish();
-  return result;
 }
 
 void FullReconfigurationInto(const SchedulingContext& context,
@@ -265,8 +243,7 @@ void FullReconfigurationInto(const SchedulingContext& context,
     pool.push_back(&task);
   }
   ConfigAppender appender(out.instances);
-  PackByReservationPriceInto(context, calculator, pool, options, appender,
-                             /*unassigned=*/nullptr);
+  PackByReservationPriceInto(context, calculator, pool, options, appender);
   appender.Finish();
 }
 

@@ -20,25 +20,12 @@
 
 namespace eva {
 
-struct PackingResult {
-  std::vector<ConfigInstance> instances;
-
-  // Tasks the greedy pass could not place cost-efficiently. With the
-  // safety-net pass enabled (the default) this is always empty: each
-  // leftover task is placed alone on its reservation-price instance, which
-  // is cost-efficient by definition.
-  std::vector<TaskId> unassigned;
-};
-
 // Relative slack on the cost-efficiency test TNRP(T) >= C_k, avoiding
 // spurious rejections from floating-point noise. Shared by the Full,
 // Partial and incremental packs.
 inline constexpr double kCostEfficiencyEpsilon = 1e-9;
 
 struct PackingOptions {
-  // Place greedy leftovers on their standalone RP instances.
-  bool assign_leftovers_standalone = true;
-
   // The VSBPP heuristic's downsizing step: after a task set is accepted on
   // an instance type, switch to the cheapest type that still fits the set.
   // Never increases cost, so cost-efficiency is preserved.
@@ -77,9 +64,9 @@ class ConfigAppender {
 
 // Runs Algorithm 1 over `pool` (tasks to place; sorted in place). Emits the
 // packed instances through `out` — instances carry no reuse ids; callers
-// layering Partial Reconfiguration add them. Leftover tasks the greedy could
-// not place are appended to `unassigned` when non-null (always empty with
-// assign_leftovers_standalone; silently left pending otherwise).
+// layering Partial Reconfiguration add them. A task the greedy could not
+// place cost-efficiently goes alone on its reservation-price instance; one
+// that fits no instance type is left out (pending).
 // Precondition: every demand component is finite and non-negative (the
 // trace loaders reject anything else). The argmax drops a candidate from an
 // instance once it fails to fit, which is exact only because an instance's
@@ -87,14 +74,7 @@ class ConfigAppender {
 void PackByReservationPriceInto(const SchedulingContext& context,
                                 const TnrpCalculator& calculator,
                                 std::vector<const TaskInfo*>& pool,
-                                const PackingOptions& options, ConfigAppender& out,
-                                std::vector<TaskId>* unassigned);
-
-// Value-returning convenience wrapper (tests, benches, one-shot callers).
-PackingResult PackByReservationPrice(const SchedulingContext& context,
-                                     const TnrpCalculator& calculator,
-                                     std::vector<const TaskInfo*> pool,
-                                     const PackingOptions& options = {});
+                                const PackingOptions& options, ConfigAppender& out);
 
 // The Full Reconfiguration entry point: packs *all* tasks in the context
 // into `out`, reusing its storage (cleared semantically, capacity kept).

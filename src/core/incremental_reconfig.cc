@@ -24,15 +24,14 @@ struct IncrementalScratch {
 IncrementalOutcome IncrementalReconfigurationInto(const SchedulingContext& context,
                                                   const TnrpCalculator& calculator,
                                                   const ClusterConfig& previous,
-                                                  const IncrementalOptions& options,
                                                   ClusterConfig& out) {
   EVA_CHECK(&out != &previous, "out must not alias previous");
   const RoundDelta& delta = context.delta;
   const std::size_t pool_size = std::max<std::size_t>(1, context.tasks.size());
   const bool oversized = static_cast<double>(delta.TouchedCount()) >
-                         options.full_repack_fraction * static_cast<double>(pool_size);
+                         kFullRepackFraction * static_cast<double>(pool_size);
   if (!delta.complete || previous.instances.empty() || oversized) {
-    FullReconfigurationInto(context, calculator, options.packing, out);
+    FullReconfigurationInto(context, calculator, {}, out);
     return !delta.complete          ? IncrementalOutcome::kFullIncompleteDelta
            : previous.instances.empty() ? IncrementalOutcome::kFullNoPrevious
                                         : IncrementalOutcome::kFullOversizedDelta;
@@ -106,21 +105,9 @@ IncrementalOutcome IncrementalReconfigurationInto(const SchedulingContext& conte
       repack.push_back(&task);
     }
   }
-  PackByReservationPriceInto(context, calculator, repack, options.packing, appender,
-                             /*unassigned=*/nullptr);
+  PackByReservationPriceInto(context, calculator, repack, {}, appender);
   appender.Finish();
   return IncrementalOutcome::kIncremental;
-}
-
-IncrementalResult IncrementalReconfiguration(const SchedulingContext& context,
-                                             const TnrpCalculator& calculator,
-                                             const ClusterConfig& previous,
-                                             const IncrementalOptions& options) {
-  IncrementalResult result;
-  result.outcome =
-      IncrementalReconfigurationInto(context, calculator, previous, options, result.config);
-  result.full_repack = IsFullRepack(result.outcome);
-  return result;
 }
 
 }  // namespace eva

@@ -56,8 +56,7 @@ void PartialReconfigurationInto(const SchedulingContext& context,
     }
   }
 
-  PackByReservationPriceInto(context, calculator, pool, options, appender,
-                             /*unassigned=*/nullptr);
+  PackByReservationPriceInto(context, calculator, pool, options, appender);
   appender.Finish();
 }
 

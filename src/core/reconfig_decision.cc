@@ -5,36 +5,26 @@
 
 namespace eva {
 
-EventRateEstimator::EventRateEstimator(const Options& options)
-    : options_(options),
-      events_per_hour_(options.initial_events_per_hour),
-      full_probability_(options.initial_full_probability) {}
-
 void EventRateEstimator::RecordRound(int events, SimTime elapsed_s, bool adopted_full) {
   if (elapsed_s > 0.0) {
     const double observed_rate = static_cast<double>(events) / SecondsToHours(elapsed_s);
-    events_per_hour_ = options_.ema_alpha * observed_rate +
-                       (1.0 - options_.ema_alpha) * events_per_hour_;
+    events_per_hour_ = kEmaAlpha * observed_rate + (1.0 - kEmaAlpha) * events_per_hour_;
   }
   // p is the per-event probability of triggering a Full Reconfiguration;
   // attribute this round's adoption outcome to each event it contained.
   for (int i = 0; i < events; ++i) {
-    full_probability_ = options_.ema_alpha * (adopted_full ? 1.0 : 0.0) +
-                        (1.0 - options_.ema_alpha) * full_probability_;
+    full_probability_ =
+        kEmaAlpha * (adopted_full ? 1.0 : 0.0) + (1.0 - kEmaAlpha) * full_probability_;
   }
-  full_probability_ =
-      std::clamp(full_probability_, options_.min_probability, options_.max_probability);
+  full_probability_ = std::clamp(full_probability_, kMinProbability, kMaxProbability);
 }
 
 double EventRateEstimator::ExpectedConfigurationDurationHours() const {
   const double lambda = std::max(events_per_hour_, 1e-6);
-  const double p = std::clamp(full_probability_, options_.min_probability,
-                              options_.max_probability);
+  const double p = std::clamp(full_probability_, kMinProbability, kMaxProbability);
   // D_hat = -1 / (lambda * ln(1 - p)); ln(1-p) < 0 so D_hat > 0.
   return -1.0 / (lambda * std::log(1.0 - p));
 }
-
-EscalationPolicy::EscalationPolicy(const Options& options) : options_(options) {}
 
 void EscalationPolicy::Escalate() {
   escalated_ = true;
@@ -43,7 +33,7 @@ void EscalationPolicy::Escalate() {
 }
 
 void EscalationPolicy::MaybeDeescalate() {
-  if (hold_ >= options_.min_hold_packs && !divergence_high_) {
+  if (hold_ >= kMinHoldPacks && !divergence_high_) {
     escalated_ = false;
     hold_ = 0;
     fallback_rate_ = 0.0;  // Fresh observation window for the new regime.
@@ -56,21 +46,20 @@ void EscalationPolicy::RecordPack(bool fell_back) {
     MaybeDeescalate();
     return;
   }
-  fallback_rate_ = options_.fallback_ema_alpha * (fell_back ? 1.0 : 0.0) +
-                   (1.0 - options_.fallback_ema_alpha) * fallback_rate_;
-  if (fallback_rate_ > options_.fallback_rate_enter) {
+  fallback_rate_ = kFallbackEmaAlpha * (fell_back ? 1.0 : 0.0) +
+                   (1.0 - kFallbackEmaAlpha) * fallback_rate_;
+  if (fallback_rate_ > kFallbackRateEnter) {
     Escalate();
   }
 }
 
 void EscalationPolicy::RecordDivergence(double cost_divergence) {
-  last_divergence_ = cost_divergence;
-  if (cost_divergence >= options_.divergence_enter) {
+  if (cost_divergence >= kDivergenceEnter) {
     divergence_high_ = true;
     if (!escalated_) {
       Escalate();
     }
-  } else if (cost_divergence <= options_.divergence_exit) {
+  } else if (cost_divergence <= kDivergenceExit) {
     divergence_high_ = false;
     MaybeDeescalate();
   }

@@ -23,15 +23,13 @@ namespace eva {
 // Online estimator for lambda (events/hour) and p (P[event adopts Full]).
 class EventRateEstimator {
  public:
-  struct Options {
-    double initial_events_per_hour = 6.0;
-    double initial_full_probability = 0.5;
-    double ema_alpha = 0.1;
-    double min_probability = 0.02;
-    double max_probability = 0.98;
-  };
-
-  explicit EventRateEstimator(const Options& options);
+  // The EMAs' seeds, their smoothing factor, and the clamp on p that keeps
+  // D_hat finite.
+  static constexpr double kInitialEventsPerHour = 6.0;
+  static constexpr double kInitialFullProbability = 0.5;
+  static constexpr double kEmaAlpha = 0.1;
+  static constexpr double kMinProbability = 0.02;
+  static constexpr double kMaxProbability = 0.98;
 
   // Reports one scheduling round: how many arrival/completion events were
   // seen since the previous round, the elapsed wall time, and whether the
@@ -45,9 +43,8 @@ class EventRateEstimator {
   double ExpectedConfigurationDurationHours() const;
 
  private:
-  Options options_;
-  double events_per_hour_;
-  double full_probability_;
+  double events_per_hour_ = kInitialEventsPerHour;
+  double full_probability_ = kInitialFullProbability;
 };
 
 // Equation 1. All S/M values in dollars-per-hour / dollars; duration in
@@ -62,14 +59,14 @@ bool ShouldAdoptFull(Money saving_full_per_hour, Money saving_partial_per_hour,
 // flap round-to-round:
 //
 //   * divergence — the relative provisioning-cost divergence measured at
-//     the last exact-repack reconciliation met `divergence_enter`; the
+//     the last exact-repack reconciliation met `kDivergenceEnter`; the
 //     trigger stays latched until a later reconciliation measures at or
-//     below `divergence_exit` (values in between change nothing);
+//     below `kDivergenceExit` (values in between change nothing);
 //   * fallback frequency — the EMA of how often the incremental path fell
-//     back to a full repack exceeded `fallback_rate_enter` (when most packs
+//     back to a full repack exceeded `kFallbackRateEnter` (when most packs
 //     fall back anyway, the incremental bookkeeping is pure overhead).
 //
-// Once escalated, the policy holds for at least `min_hold_packs` exact
+// Once escalated, the policy holds for at least `kMinHoldPacks` exact
 // packs, and de-escalates only when the divergence latch has cleared (while
 // escalated the incumbent *is* the exact configuration, so reconciliations
 // truthfully record zero divergence). De-escalation resets the fallback EMA
@@ -78,16 +75,11 @@ bool ShouldAdoptFull(Money saving_full_per_hour, Money saving_partial_per_hour,
 // per computed pack — never on memo-replayed or coalesced rounds.
 class EscalationPolicy {
  public:
-  struct Options {
-    double divergence_enter = 0.15;  // Relative cost divergence that escalates.
-    double divergence_exit = 0.05;   // Divergence that releases the latch.
-    double fallback_rate_enter = 0.60;
-    double fallback_ema_alpha = 0.05;
-    int min_hold_packs = 32;  // Exact packs held before de-escalation.
-  };
-
-  EscalationPolicy() : EscalationPolicy(Options()) {}
-  explicit EscalationPolicy(const Options& options);
+  static constexpr double kDivergenceEnter = 0.15;  // Relative cost divergence that escalates.
+  static constexpr double kDivergenceExit = 0.05;   // Divergence that releases the latch.
+  static constexpr double kFallbackRateEnter = 0.60;
+  static constexpr double kFallbackEmaAlpha = 0.05;
+  static constexpr int kMinHoldPacks = 32;  // Exact packs held before de-escalation.
 
   // Records one incremental-mode pack: whether the incremental path fell
   // back to a full repack (ignored while escalated — packs then run exact
@@ -102,16 +94,13 @@ class EscalationPolicy {
   bool escalated() const { return escalated_; }
 
   double fallback_rate() const { return fallback_rate_; }
-  double last_divergence() const { return last_divergence_; }
   int escalations() const { return escalations_; }
 
  private:
   void Escalate();
   void MaybeDeescalate();
 
-  Options options_;
   double fallback_rate_ = 0.0;
-  double last_divergence_ = 0.0;
   bool divergence_high_ = false;  // The divergence latch.
   bool escalated_ = false;
   int hold_ = 0;  // Exact packs since escalating.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/cloud/delays.h"
 #include "src/common/arena.h"
 #include "src/common/soa_table.h"
 
@@ -200,10 +201,9 @@ int ConfigEditDistance(const ClusterConfig& a, const ClusterConfig& b) {
 }
 
 Money EstimateMigrationCost(const SchedulingContext& context, const ConfigDiff& diff,
-                            const CloudDelayModel& cloud_delays,
                             double migration_delay_multiplier) {
   Money total = 0.0;
-  const SimTime provisioning_s = cloud_delays.ProvisioningDelay(nullptr);
+  const SimTime provisioning_s = ProvisioningDelay(nullptr);
   for (const ConfigDiff::Binding& binding : diff.bindings) {
     if (binding.existing_id == kInvalidInstanceId) {
       const Money rate = context.catalog->Get(binding.type_index).cost_per_hour;

@@ -12,7 +12,6 @@
 
 #include <vector>
 
-#include "src/cloud/delays.h"
 #include "src/sched/types.h"
 
 namespace eva {
@@ -58,11 +57,11 @@ void DiffConfigInto(const SchedulingContext& context, const ClusterConfig& desir
 
 // Estimated dollar cost of executing the diff (§4.5's M term): for every
 // migrated task, checkpoint + launch delays priced at the destination
-// instance's hourly rate; for every fresh launch, the mean provisioning
-// delay priced at the new instance's rate. First placements of new tasks
-// price only the launch delay (no checkpoint).
+// instance's hourly rate, scaled by `migration_delay_multiplier`; for every
+// fresh launch, the Table 1 mean provisioning delay priced at the new
+// instance's rate. First placements of new tasks price only the launch
+// delay (no checkpoint).
 Money EstimateMigrationCost(const SchedulingContext& context, const ConfigDiff& diff,
-                            const CloudDelayModel& cloud_delays,
                             double migration_delay_multiplier);
 
 // Edit distance between two configurations, counted in instances: the

@@ -73,16 +73,6 @@ const InstanceInfo* SchedulingContext::FindInstance(InstanceId id) const {
   return it == instance_index_.end() ? nullptr : &instances[it->second];
 }
 
-std::vector<TaskId> SchedulingContext::JobTasks(JobId job) const {
-  std::vector<TaskId> ids;
-  for (const TaskInfo& task : tasks) {
-    if (task.job == job) {
-      ids.push_back(task.id);
-    }
-  }
-  return ids;
-}
-
 int SchedulingContext::JobSize(JobId job) const {
   if (FlatEligible(job)) {
     const std::uint32_t* count = job_size_flat_.Find(static_cast<std::size_t>(job));

@@ -129,11 +129,6 @@ class SchedulingContext {
   const TaskInfo* FindTask(TaskId id) const;
   const InstanceInfo* FindInstance(InstanceId id) const;
 
-  // All tasks belonging to a job (data-parallel siblings), in context
-  // order. Cold path (linear scan): the hot consumers only need JobSize,
-  // so Finalize no longer materializes a per-job task vector every round.
-  std::vector<TaskId> JobTasks(JobId job) const;
-
   // Number of tasks in the given job.
   int JobSize(JobId job) const;
 

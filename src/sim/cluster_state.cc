@@ -264,12 +264,6 @@ void ClusterState::IntegrateTo(SimTime dt) {
   task_instance_seconds_ += cached_assigned_tasks_ * dt;
 }
 
-SchedulingContext ClusterState::BuildContext(SimTime now) const {
-  SchedulingContext context;
-  FillContext(now, context);
-  return context;
-}
-
 void ClusterState::FillContext(SimTime now, SchedulingContext& context) const {
   context.tasks.clear();
   context.delta.Clear();
@@ -314,12 +308,6 @@ void ClusterState::FillContext(SimTime now, SchedulingContext& context) const {
   }
   context.instances.resize(used);
   context.Finalize();
-}
-
-RoundDelta ClusterState::TakeRoundDelta() {
-  RoundDelta delta;
-  DrainRoundDelta(delta);
-  return delta;
 }
 
 void ClusterState::DrainRoundDelta(RoundDelta& out) {

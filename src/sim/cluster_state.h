@@ -189,25 +189,19 @@ class ClusterState {
   // Snapshot handed to Scheduler::Schedule (active jobs' tasks + live,
   // non-condemned instances), in deterministic id order.
   // Every task carries its job's exact remaining work (the paper grants
-  // Stratus its best case; other schedulers ignore it).
-  SchedulingContext BuildContext(SimTime now) const;
-
-  // BuildContext into a caller-owned context, reusing its vectors' capacity
-  // and its index maps' buckets — the per-round fast path (a fresh context
-  // allocates a dozen containers every scheduling round).
+  // Stratus its best case; other schedulers ignore it). Written into a
+  // caller-owned context, reusing its vectors' capacity and its index maps'
+  // buckets (a fresh context allocates a dozen containers every round).
   void FillContext(SimTime now, SchedulingContext& context) const;
 
-  // Drains the changes accumulated since the previous call (O(delta)):
-  // entries are deduplicated and sorted, complete is set. The simulator
+  // Drains the changes accumulated since the previous call (O(delta)) into
+  // `out`: entries are deduplicated and sorted, complete is set. `out` is
+  // rewritten in place (capacity reused) and the accumulator keeps its
+  // buffers, so neither side allocates at steady state. The simulator
   // attaches the result to the round's SchedulingContext.
-  RoundDelta TakeRoundDelta();
-
-  // TakeRoundDelta into caller-owned storage: `out` is rewritten in place
-  // (capacity reused) and the accumulator keeps its buffers — the per-round
-  // fast path; neither side allocates at steady state.
   void DrainRoundDelta(RoundDelta& out);
 
-  // Whether anything has accumulated since the last TakeRoundDelta — the
+  // Whether anything has accumulated since the last DrainRoundDelta — the
   // O(1) emptiness probe the quiescence-aware round trigger uses (an empty
   // delta need not be drained: taking it would yield the same empty result).
   bool HasPendingDelta() const { return !round_delta_.Empty(); }

@@ -6,10 +6,12 @@
 #include <string>
 #include <vector>
 
+#include "src/cloud/delays.h"
 #include "src/common/format.h"
 #include "src/common/hash.h"
 #include "src/common/logging.h"
 #include "src/common/rng.h"
+#include "src/common/soa_table.h"
 #include "src/obs/publish.h"
 #include "src/sched/config_diff.h"
 #include "src/sim/cluster_state.h"
@@ -286,6 +288,7 @@ class Simulator::Impl {
   ConfigDiff round_diff_;
   std::vector<InstanceId> apply_binding_instance_;
   std::vector<char> apply_execute_;
+  EpochColumn<ResourceVector> apply_projected_;  // Denial fixpoint's projection.
   std::vector<InstanceId> apply_keep_visible_;
 
   // Per-event copy buffers (iteration-robust snapshots of instance task
@@ -474,8 +477,7 @@ void Simulator::Impl::ApplyConfig(const SchedulingContext& context,
                     binding.type_index, now_);
       continue;
     }
-    const SimTime delay = options_.cloud_delays.ProvisioningDelay(
-        options_.physical_mode ? &rng_ : nullptr);
+    const SimTime delay = ProvisioningDelay(options_.physical_mode ? &rng_ : nullptr);
     InstRec& instance = state_.CreateInstance(binding.type_index, now_, now_ + delay);
     binding_instance[i] = instance.id;
     market_.OnLaunch(instance, now_);  // Also pushes the kInstanceReady.
@@ -512,25 +514,30 @@ void Simulator::Impl::ApplyConfig(const SchedulingContext& context,
           catalog_.Get(state_.FindInstance(instance_id)->type_index).family;
       return task.job_ref->spec.DemandFor(family);
     };
-    for (bool changed = true; changed;) {
-      changed = false;
-      // Projected per-instance demand if the currently executable moves all
-      // run: start from the live assignment, apply departures, then re-add
-      // arrivals one by one with a fit check at the destination.
-      std::map<InstanceId, ResourceVector> projected;
-      const auto projected_for = [&](InstanceId id) -> ResourceVector& {
-        auto [it, inserted] = projected.try_emplace(id);
-        if (inserted) {
-          if (const InstRec* instance = state_.FindInstance(id)) {
-            for (TaskId task_id : instance->assigned) {
-              if (const TaskRec* task = state_.FindTask(task_id)) {
-                it->second += demand_on(*task, id);
-              }
-            }
+    // Projected per-instance demand if the currently executable moves all
+    // run, keyed by (dense) instance id: each pass starts from the live
+    // assignment, summed on first touch, applies departures, then re-adds
+    // arrivals one by one with a fit check at the destination. A returned
+    // reference is valid only until the next first touch (the column grows).
+    EpochColumn<ResourceVector>& projected = apply_projected_;
+    const auto projected_for = [&](InstanceId id) -> ResourceVector& {
+      if (ResourceVector* load = projected.Find(static_cast<std::size_t>(id))) {
+        return *load;
+      }
+      ResourceVector& load = projected.Touch(static_cast<std::size_t>(id));
+      load = ResourceVector();
+      if (const InstRec* instance = state_.FindInstance(id)) {
+        for (TaskId task_id : instance->assigned) {
+          if (const TaskRec* task = state_.FindTask(task_id)) {
+            load += demand_on(*task, id);
           }
         }
-        return it->second;
-      };
+      }
+      return load;
+    };
+    for (bool changed = true; changed;) {
+      changed = false;
+      projected.Clear();
       for (std::size_t i = 0; i < diff.moves.size(); ++i) {
         if (!execute[i]) {
           continue;

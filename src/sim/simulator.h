@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "src/cloud/delays.h"
 #include "src/cloud/instance_type.h"
 #include "src/cloud/provider.h"
 #include "src/obs/observability.h"
@@ -44,8 +43,6 @@ struct SimulatorOptions {
 
   // Physical mode: stochastic delays and noisy throughput observations.
   bool physical_mode = false;
-
-  CloudDelayModel cloud_delays;
 
   // Scales job checkpoint+launch delays (the Figure 5 sweep).
   double migration_delay_multiplier = 1.0;

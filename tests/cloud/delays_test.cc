@@ -40,16 +40,14 @@ TEST(DelayRangeTest, DegenerateRangeReturnsAverage) {
 }
 
 TEST(CloudDelayModelTest, DeterministicProvisioningDelay) {
-  const CloudDelayModel model;
   // Table 1 averages: acquisition 19s + setup 190s.
-  EXPECT_DOUBLE_EQ(model.ProvisioningDelay(nullptr), 209.0);
+  EXPECT_DOUBLE_EQ(ProvisioningDelay(nullptr), 209.0);
 }
 
 TEST(CloudDelayModelTest, StochasticProvisioningDelayWithinBounds) {
-  const CloudDelayModel model;
   Rng rng(4);
   for (int i = 0; i < 2000; ++i) {
-    const SimTime delay = model.ProvisioningDelay(&rng);
+    const SimTime delay = ProvisioningDelay(&rng);
     EXPECT_GE(delay, 6.0 + 140.0);
     EXPECT_LE(delay, 83.0 + 251.0);
   }

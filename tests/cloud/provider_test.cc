@@ -51,14 +51,12 @@ TEST(CloudProviderTest, QuoteCatalogPricesSpotWithRiskPremium) {
   const InstanceCatalog base = InstanceCatalog::AwsDefault();
   const CloudProvider provider(base, SpotOptions());
   const SimTime t = 12345.0;
-  const auto quote = provider.MakeQuoteCatalog(t, /*risk_premium=*/0.25);
+  const auto quote = provider.SharedQuoteCatalog(t, /*risk_premium=*/0.25);
   ASSERT_EQ(quote->NumTypes(), 42);
   for (int i = 0; i < 21; ++i) {
     EXPECT_EQ(quote->Get(i).cost_per_hour, base.Get(i).cost_per_hour);
     EXPECT_EQ(quote->Get(i + 21).cost_per_hour, provider.market().Quote(i, t) * 1.25);
   }
-  // Fresh object per call: pricing caches key on identity.
-  EXPECT_NE(quote.get(), provider.MakeQuoteCatalog(t, 0.25).get());
 }
 
 TEST(CloudProviderTest, AdmissionDeniesWhenFamilyPoolExhausted) {
@@ -76,16 +74,20 @@ TEST(CloudProviderTest, AdmissionDeniesWhenFamilyPoolExhausted) {
   provider.Release(0, 0.0, 3600.0);
   EXPECT_TRUE(provider.TryAcquire(2, 3600.0));  // Slot came back.
 
+  // Finalizing requires every grant released.
+  provider.Release(1, 0.0, 3600.0);
+  provider.Release(2, 3600.0, 3600.0);
+  provider.Release(3, 0.0, 3600.0);
   const CloudProviderMetrics metrics = provider.FinalizeMetrics(3600.0);
   const auto& p3 = metrics.families[0];
   EXPECT_EQ(p3.granted, 3);
   EXPECT_EQ(p3.denied, 1);
-  EXPECT_EQ(p3.released, 1);
+  EXPECT_EQ(p3.released, 3);
   EXPECT_EQ(p3.peak_in_use, 2);
   EXPECT_EQ(p3.capacity, 2);
-  EXPECT_DOUBLE_EQ(p3.instance_hours, 1.0);
-  // One of two slots busy for the whole horizon.
-  EXPECT_DOUBLE_EQ(p3.avg_utilization, 0.5);
+  EXPECT_DOUBLE_EQ(p3.instance_hours, 2.0);
+  // Both slots busy for the whole horizon.
+  EXPECT_DOUBLE_EQ(p3.avg_utilization, 1.0);
   EXPECT_EQ(metrics.TotalGranted(), 4);
   EXPECT_EQ(metrics.TotalDenied(), 1);
 }
@@ -120,13 +122,13 @@ TEST(CloudProviderTest, SharedQuoteCatalogCachesByPriceStepAndPremium) {
   const auto d = provider.SharedQuoteCatalog(100.0, 0.5);
   EXPECT_NE(a.get(), d.get());
 
-  // Prices match the per-call snapshot bit-for-bit.
+  // Prices are the quote at `t` times (1 + premium), bit for bit.
   const SimTime t = 3.0 * step_s + 17.0;
   const auto shared = provider.SharedQuoteCatalog(t, 0.25);
-  const auto fresh = provider.MakeQuoteCatalog(t, 0.25);
-  ASSERT_EQ(shared->NumTypes(), fresh->NumTypes());
-  for (int i = 0; i < shared->NumTypes(); ++i) {
-    EXPECT_EQ(shared->Get(i).cost_per_hour, fresh->Get(i).cost_per_hour);
+  ASSERT_EQ(shared->NumTypes(), 42);
+  for (int i = 0; i < 21; ++i) {
+    EXPECT_EQ(shared->Get(i).cost_per_hour, base.Get(i).cost_per_hour);
+    EXPECT_EQ(shared->Get(i + 21).cost_per_hour, provider.market().Quote(i, t) * 1.25);
   }
 }
 

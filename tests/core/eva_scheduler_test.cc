@@ -150,9 +150,6 @@ TEST_F(EvaSchedulerTest, NamesReflectConfiguration) {
   EvaOptions partial;
   partial.policy = EvaOptions::Policy::kPartialOnly;
   EXPECT_EQ(EvaScheduler(partial).name(), "Eva (w/o Full)");
-  EvaOptions named;
-  named.name = "Custom";
-  EXPECT_EQ(EvaScheduler(named).name(), "Custom");
 }
 
 TEST_F(EvaSchedulerTest, UnchangedRoundsReplayTheMemoBitForBit) {
@@ -253,10 +250,10 @@ TEST_F(EvaSchedulerTest, BindWorkloadScaleResolvesAutoMode) {
   // kAuto (the default) flips on exactly at the threshold...
   EvaScheduler below;  // Never bound: stays exact, like a hand-built harness.
   EXPECT_FALSE(below.incremental_active());
-  below.BindWorkloadScale(9999);
+  below.BindWorkloadScale(EvaScheduler::kIncrementalAutoMinJobs - 1);
   EXPECT_FALSE(below.incremental_active());
   EvaScheduler at;
-  at.BindWorkloadScale(10000);
+  at.BindWorkloadScale(EvaScheduler::kIncrementalAutoMinJobs);
   EXPECT_TRUE(at.incremental_active());
 
   // ...while kOff and kOn ignore the bound scale entirely.
@@ -273,10 +270,9 @@ TEST_F(EvaSchedulerTest, BindWorkloadScaleResolvesAutoMode) {
   EXPECT_TRUE(forced_on.incremental_active());
 }
 
-TEST_F(EvaSchedulerTest, OnDemandReconciliationAdoptsExactAndCounts) {
+TEST_F(EvaSchedulerTest, PeriodicReconciliationAdoptsExactAndCounts) {
   EvaOptions options;
   options.incremental_packing = EvaOptions::IncrementalPacking::kOn;
-  options.reconcile_every_n_packs = 0;  // Periodic cadence off: on-demand only.
   // Full-only: Schedule returns the Full candidate itself, so the adopted-
   // exact-config assertion below is independent of the ensemble's estimator
   // trajectory.
@@ -285,7 +281,8 @@ TEST_F(EvaSchedulerTest, OnDemandReconciliationAdoptsExactAndCounts) {
 
   const WorkloadId vit = WorkloadRegistry::IdOf("ViT");
   const WorkloadId gcn = WorkloadRegistry::IdOf("GCN");
-  for (JobId job = 1; job <= 5; ++job) {
+  JobId job = 1;
+  for (; job <= 5; ++job) {
     AddTask(job % 2 == 0 ? gcn : vit, job);
   }
   context_.Finalize();
@@ -293,29 +290,25 @@ TEST_F(EvaSchedulerTest, OnDemandReconciliationAdoptsExactAndCounts) {
   context_.delta.jobs_arrived = {1, 2, 3, 4, 5};
   (void)scheduler.Schedule(context_);  // Pack 1: no previous -> exact.
   EXPECT_EQ(scheduler.stats().fallback_no_previous, 1);
-  EXPECT_EQ(scheduler.stats().reconciliations, 0);
 
-  AddTask(gcn, 6);
-  context_.Finalize();
-  context_.delta.Clear();
-  context_.delta.complete = true;
-  context_.delta.jobs_arrived = {6};
-  context_.now_s = 300.0;
-  (void)scheduler.Schedule(context_);  // Pack 2: incremental, cadence off.
-  EXPECT_EQ(scheduler.stats().packs_incremental, 1);
-  EXPECT_EQ(scheduler.stats().reconciliations, 0);
-  EXPECT_EQ(scheduler.stats().max_kept_staleness, 1);
-
-  scheduler.RequestReconciliation();
-  AddTask(vit, 7);
-  context_.Finalize();
-  context_.delta.Clear();
-  context_.delta.complete = true;
-  context_.delta.jobs_arrived = {7};
-  context_.now_s = 600.0;
-  const ClusterConfig config = scheduler.Schedule(context_);  // Pack 3: reconciled.
-  EXPECT_EQ(scheduler.stats().packs_incremental, 2);
-  EXPECT_EQ(scheduler.stats().reconciliations, 1);
+  // One arrival per round keeps every delta below the full-repack fraction,
+  // so each round is an incremental pack; the cadence's last one reconciles.
+  ClusterConfig config;
+  for (int pack = 1; pack <= EvaScheduler::kReconcileEveryNPacks; ++pack) {
+    AddTask(job % 2 == 0 ? gcn : vit, job);
+    context_.Finalize();
+    context_.delta.Clear();
+    context_.delta.complete = true;
+    context_.delta.jobs_arrived = {job};
+    context_.now_s = 300.0 * pack;
+    ++job;
+    config = scheduler.Schedule(context_);
+    EXPECT_EQ(scheduler.stats().packs_incremental, pack);
+    EXPECT_EQ(scheduler.stats().reconciliations,
+              pack == EvaScheduler::kReconcileEveryNPacks ? 1 : 0);
+  }
+  EXPECT_EQ(scheduler.stats().packs_full, 1);
+  EXPECT_EQ(scheduler.stats().max_kept_staleness, EvaScheduler::kReconcileEveryNPacks);
   EXPECT_FALSE(config.Validate(context_).has_value());
 
   // The adopted configuration is the exact repack of the full context: a

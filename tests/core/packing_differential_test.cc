@@ -1,5 +1,5 @@
 // Differential test of Algorithm 1: the production packing entry points
-// (PackByReservationPrice, FullReconfiguration, PartialReconfiguration)
+// (PackByReservationPriceInto, FullReconfiguration, PartialReconfiguration)
 // against a reference written here from the paper's pseudocode, bit for bit
 // on a few hundred seeded contexts.
 //
@@ -80,8 +80,7 @@ bool FitsWith(const TaskInfo& task, const InstanceType& type, const ResourceVect
 // PackByReservationPriceInto documents them.
 void ReferencePack(const SchedulingContext& context, const TnrpCalculator& calculator,
                    std::vector<const TaskInfo*> pool, const PackingOptions& options,
-                   std::vector<ConfigInstance>& out, std::vector<TaskId>& unassigned,
-                   Coverage& coverage) {
+                   std::vector<ConfigInstance>& out, Coverage& coverage) {
   SortTasksByRpDesc(calculator, pool);
   std::vector<bool> assigned(pool.size(), false);
   const std::size_t pack_begin = out.size();
@@ -170,13 +169,9 @@ void ReferencePack(const SchedulingContext& context, const TnrpCalculator& calcu
     if (assigned[i]) {
       continue;
     }
-    const std::optional<int> type_index =
-        options.assign_leftovers_standalone
-            ? context.catalog->CheapestFitting(
-                  [task = pool[i]](InstanceFamily family) { return task->DemandFor(family); })
-            : std::nullopt;
+    const std::optional<int> type_index = context.catalog->CheapestFitting(
+        [task = pool[i]](InstanceFamily family) { return task->DemandFor(family); });
     if (!type_index.has_value()) {
-      unassigned.push_back(pool[i]->id);
       continue;
     }
     ConfigInstance instance;
@@ -216,8 +211,7 @@ ClusterConfig ReferencePartial(const SchedulingContext& context,
       pool.insert(pool.end(), members.begin(), members.end());
     }
   }
-  std::vector<TaskId> unassigned;
-  ReferencePack(context, calculator, pool, {}, config.instances, unassigned, coverage);
+  ReferencePack(context, calculator, pool, {}, config.instances, coverage);
   return config;
 }
 
@@ -340,7 +334,7 @@ TEST(PackingDifferentialTest, MatchesReferenceAlgorithmOneBitForBit) {
     // Round r holds the jobs that arrived by then minus a few completed
     // ones; tasks placed in round r-1 stay on their instances.
     std::unique_ptr<TnrpCalculator> production;
-    std::vector<std::unique_ptr<InstanceCatalog>> catalogs;
+    std::vector<std::shared_ptr<const InstanceCatalog>> catalogs;
     std::vector<std::unique_ptr<SchedulingContext>> contexts;
     std::vector<InstanceId> host(scenario.tasks.size(), kInvalidInstanceId);
     std::vector<bool> completed(static_cast<std::size_t>(scenario.num_jobs), false);
@@ -348,7 +342,7 @@ TEST(PackingDifferentialTest, MatchesReferenceAlgorithmOneBitForBit) {
     for (int round = 0; round < kRoundsPerScenario; ++round) {
       const InstanceCatalog* catalog = &scenario.base;
       if (scenario.provider != nullptr) {
-        catalogs.push_back(scenario.provider->MakeQuoteCatalog(
+        catalogs.push_back(scenario.provider->SharedQuoteCatalog(
             /*now=*/3600.0 * (round + 1) * static_cast<double>(seed % 7 + 1),
             /*risk_premium=*/0.1 * static_cast<double>(round)));
         catalog = catalogs.back().get();
@@ -403,8 +397,8 @@ TEST(PackingDifferentialTest, MatchesReferenceAlgorithmOneBitForBit) {
           "seed " + std::to_string(seed) + " round " + std::to_string(round);
       TallyContext(context, scenario, reference, coverage);
 
-      // The bare pack, over the whole context in a shuffled order, with
-      // each option off in turn.
+      // The bare pack, over the whole context in a shuffled order, with the
+      // downsizing step on and off.
       std::vector<const TaskInfo*> pool;
       for (const TaskInfo& task : context.tasks) {
         pool.push_back(&task);
@@ -412,21 +406,20 @@ TEST(PackingDifferentialTest, MatchesReferenceAlgorithmOneBitForBit) {
       for (std::size_t i = pool.size(); i > 1; --i) {
         std::swap(pool[i - 1], pool[rng.NextU64() % i]);
       }
-      for (const PackingOptions& options :
-           {PackingOptions{}, PackingOptions{false, true}, PackingOptions{true, false}}) {
-        const PackingResult packed = PackByReservationPrice(context, *production, pool, options);
+      for (const PackingOptions& options : {PackingOptions{}, PackingOptions{false}}) {
+        std::vector<const TaskInfo*> pool_copy = pool;  // The packer sorts its pool.
+        std::vector<ConfigInstance> packed;
+        ConfigAppender appender(packed);
+        PackByReservationPriceInto(context, *production, pool_copy, options, appender);
+        appender.Finish();
         std::vector<ConfigInstance> expected;
-        std::vector<TaskId> expected_unassigned;
-        ReferencePack(context, reference, pool, options, expected, expected_unassigned,
-                      coverage);
-        ASSERT_EQ(Describe(packed.instances), Describe(expected)) << where;
-        ASSERT_EQ(packed.unassigned, expected_unassigned) << where;
+        ReferencePack(context, reference, pool, options, expected, coverage);
+        ASSERT_EQ(Describe(packed), Describe(expected)) << where;
       }
 
       const ClusterConfig full = FullReconfiguration(context, *production);
       std::vector<ConfigInstance> expected_full;
-      std::vector<TaskId> unassigned;
-      ReferencePack(context, reference, pool, {}, expected_full, unassigned, coverage);
+      ReferencePack(context, reference, pool, {}, expected_full, coverage);
       ASSERT_EQ(Describe(full.instances), Describe(expected_full)) << where;
 
       const ClusterConfig partial = PartialReconfiguration(context, *production);

@@ -170,9 +170,9 @@ Digests RunCase(const PinCase& pin) {
   Digests digests;
   digests.full = Digest(FullReconfiguration(now, calculator), catalog);
   digests.partial = Digest(PartialReconfiguration(now, calculator), catalog);
-  const IncrementalResult incremental = IncrementalReconfiguration(now, calculator, previous);
-  digests.incremental = Digest(incremental.config, catalog);
-  digests.outcome = incremental.outcome;
+  ClusterConfig incremental;
+  digests.outcome = IncrementalReconfigurationInto(now, calculator, previous, incremental);
+  digests.incremental = Digest(incremental, catalog);
   return digests;
 }
 

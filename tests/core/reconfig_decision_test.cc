@@ -7,29 +7,24 @@
 namespace eva {
 namespace {
 
-EventRateEstimator::Options DefaultOptions() {
-  EventRateEstimator::Options options;
-  options.initial_events_per_hour = 6.0;
-  options.initial_full_probability = 0.5;
-  options.ema_alpha = 0.1;
-  return options;
-}
-
 TEST(EventRateEstimatorTest, InitialValues) {
-  const EventRateEstimator estimator(DefaultOptions());
-  EXPECT_DOUBLE_EQ(estimator.events_per_hour(), 6.0);
-  EXPECT_DOUBLE_EQ(estimator.full_probability(), 0.5);
+  const EventRateEstimator estimator;
+  EXPECT_DOUBLE_EQ(estimator.events_per_hour(), EventRateEstimator::kInitialEventsPerHour);
+  EXPECT_DOUBLE_EQ(estimator.full_probability(),
+                   EventRateEstimator::kInitialFullProbability);
 }
 
 TEST(EventRateEstimatorTest, DHatFormula) {
   // D_hat = -1 / (lambda * ln(1 - p)).
-  const EventRateEstimator estimator(DefaultOptions());
+  const EventRateEstimator estimator;
   EXPECT_NEAR(estimator.ExpectedConfigurationDurationHours(),
-              -1.0 / (6.0 * std::log(0.5)), 1e-12);
+              -1.0 / (EventRateEstimator::kInitialEventsPerHour *
+                      std::log(1.0 - EventRateEstimator::kInitialFullProbability)),
+              1e-12);
 }
 
 TEST(EventRateEstimatorTest, RateEmaTracksObservedRate) {
-  EventRateEstimator estimator(DefaultOptions());
+  EventRateEstimator estimator;
   // 300-second rounds with 1 event each => 12 events/hour.
   for (int i = 0; i < 200; ++i) {
     estimator.RecordRound(1, 300.0, false);
@@ -38,13 +33,13 @@ TEST(EventRateEstimatorTest, RateEmaTracksObservedRate) {
 }
 
 TEST(EventRateEstimatorTest, ZeroElapsedDoesNotUpdateRate) {
-  EventRateEstimator estimator(DefaultOptions());
+  EventRateEstimator estimator;
   estimator.RecordRound(5, 0.0, false);
-  EXPECT_DOUBLE_EQ(estimator.events_per_hour(), 6.0);
+  EXPECT_DOUBLE_EQ(estimator.events_per_hour(), EventRateEstimator::kInitialEventsPerHour);
 }
 
 TEST(EventRateEstimatorTest, ProbabilityConvergesTowardAdoptionFrequency) {
-  EventRateEstimator estimator(DefaultOptions());
+  EventRateEstimator estimator;
   for (int i = 0; i < 300; ++i) {
     estimator.RecordRound(1, 300.0, i % 4 == 0);  // Full adopted 25% of rounds.
   }
@@ -52,27 +47,27 @@ TEST(EventRateEstimatorTest, ProbabilityConvergesTowardAdoptionFrequency) {
 }
 
 TEST(EventRateEstimatorTest, ProbabilityClamped) {
-  EventRateEstimator estimator(DefaultOptions());
+  EventRateEstimator estimator;
   for (int i = 0; i < 500; ++i) {
     estimator.RecordRound(3, 300.0, true);
   }
-  EXPECT_LE(estimator.full_probability(), 0.98);
+  EXPECT_LE(estimator.full_probability(), EventRateEstimator::kMaxProbability);
   for (int i = 0; i < 2000; ++i) {
     estimator.RecordRound(3, 300.0, false);
   }
-  EXPECT_GE(estimator.full_probability(), 0.02);
+  EXPECT_GE(estimator.full_probability(), EventRateEstimator::kMinProbability);
 }
 
 TEST(EventRateEstimatorTest, RoundsWithoutEventsDoNotMoveProbability) {
-  EventRateEstimator estimator(DefaultOptions());
+  EventRateEstimator estimator;
   const double before = estimator.full_probability();
   estimator.RecordRound(0, 300.0, true);
   EXPECT_DOUBLE_EQ(estimator.full_probability(), before);
 }
 
 TEST(EventRateEstimatorTest, HigherEventRateShortensDHat) {
-  EventRateEstimator fast(DefaultOptions());
-  EventRateEstimator slow(DefaultOptions());
+  EventRateEstimator fast;
+  EventRateEstimator slow;
   for (int i = 0; i < 200; ++i) {
     fast.RecordRound(4, 300.0, false);
     slow.RecordRound(0, 300.0, false);
@@ -100,69 +95,75 @@ TEST(ShouldAdoptFullTest, ExpensiveMigrationSuppressesFull) {
   EXPECT_FALSE(ShouldAdoptFull(2.0, 0.5, 5.0, 0.0, 1.0));
 }
 
-EscalationPolicy::Options TightPolicyOptions() {
-  EscalationPolicy::Options options;
-  options.divergence_enter = 0.15;
-  options.divergence_exit = 0.05;
-  options.fallback_rate_enter = 0.60;
-  options.fallback_ema_alpha = 0.5;  // Fast EMA so tests stay short.
-  options.min_hold_packs = 3;
-  return options;
+using Policy = EscalationPolicy;
+
+// Consecutive fallbacks that lift the fallback EMA, from a fresh window,
+// past the escalation threshold (18 at alpha 0.05 and 0.60).
+int FallbacksToEscalate() {
+  double rate = 0.0;
+  int fallbacks = 0;
+  while (rate <= Policy::kFallbackRateEnter) {
+    rate = Policy::kFallbackEmaAlpha + (1.0 - Policy::kFallbackEmaAlpha) * rate;
+    ++fallbacks;
+  }
+  return fallbacks;
+}
+
+void RecordPacks(EscalationPolicy& policy, int packs, bool fell_back) {
+  for (int i = 0; i < packs; ++i) {
+    policy.RecordPack(fell_back);
+  }
 }
 
 TEST(EscalationPolicyTest, StartsCalm) {
-  const EscalationPolicy policy(TightPolicyOptions());
+  const EscalationPolicy policy;
   EXPECT_FALSE(policy.escalated());
   EXPECT_EQ(policy.escalations(), 0);
   EXPECT_DOUBLE_EQ(policy.fallback_rate(), 0.0);
 }
 
 TEST(EscalationPolicyTest, DivergenceAtThresholdEscalates) {
-  EscalationPolicy policy(TightPolicyOptions());
-  policy.RecordDivergence(0.1499);  // Below enter: nothing.
+  EscalationPolicy policy;
+  policy.RecordDivergence(std::nextafter(Policy::kDivergenceEnter, 0.0));  // Below: nothing.
   EXPECT_FALSE(policy.escalated());
-  policy.RecordDivergence(0.15);  // Enter threshold is inclusive.
+  policy.RecordDivergence(Policy::kDivergenceEnter);  // Enter threshold is inclusive.
   EXPECT_TRUE(policy.escalated());
   EXPECT_EQ(policy.escalations(), 1);
 }
 
 TEST(EscalationPolicyTest, HysteresisBandHoldsTheLatch) {
-  EscalationPolicy policy(TightPolicyOptions());
-  policy.RecordDivergence(0.2);
+  EscalationPolicy policy;
+  policy.RecordDivergence(2.0 * Policy::kDivergenceEnter);
   ASSERT_TRUE(policy.escalated());
-  // Hold for min_hold_packs exact packs, then measure a divergence inside
+  // Hold for kMinHoldPacks exact packs, then measure a divergence inside
   // the (exit, enter) band: the latch must not release.
-  for (int i = 0; i < 10; ++i) {
-    policy.RecordPack(false);
-  }
-  policy.RecordDivergence(0.10);  // 0.05 < 0.10 < 0.15: the band.
+  RecordPacks(policy, Policy::kMinHoldPacks, /*fell_back=*/false);
+  policy.RecordDivergence((Policy::kDivergenceExit + Policy::kDivergenceEnter) / 2.0);
   EXPECT_TRUE(policy.escalated());
   // At (or below) the exit threshold the latch clears and — with the hold
   // already served — the policy de-escalates.
-  policy.RecordDivergence(0.05);
+  policy.RecordDivergence(Policy::kDivergenceExit);
   EXPECT_FALSE(policy.escalated());
   EXPECT_EQ(policy.escalations(), 1);
 }
 
 TEST(EscalationPolicyTest, MinHoldDelaysDeescalation) {
-  EscalationPolicy policy(TightPolicyOptions());
+  EscalationPolicy policy;
   policy.RecordDivergence(0.5);
   ASSERT_TRUE(policy.escalated());
-  // Divergence clears immediately, but only min_hold_packs = 3 exact packs
+  // Divergence clears immediately, but only kMinHoldPacks exact packs
   // release the policy.
   policy.RecordDivergence(0.0);
   EXPECT_TRUE(policy.escalated());
-  policy.RecordPack(false);
-  policy.RecordPack(false);
+  RecordPacks(policy, Policy::kMinHoldPacks - 1, /*fell_back=*/false);
   EXPECT_TRUE(policy.escalated());
   policy.RecordPack(false);
   EXPECT_FALSE(policy.escalated());
 }
 
 TEST(EscalationPolicyTest, FallbackRateSpikesEscalate) {
-  EscalationPolicy policy(TightPolicyOptions());
-  // alpha = 0.5: two consecutive fallbacks put the EMA at 0.75 > 0.60.
-  policy.RecordPack(true);
+  EscalationPolicy policy;
+  RecordPacks(policy, FallbacksToEscalate() - 1, /*fell_back=*/true);
   EXPECT_FALSE(policy.escalated());
   policy.RecordPack(true);
   EXPECT_TRUE(policy.escalated());
@@ -170,32 +171,27 @@ TEST(EscalationPolicyTest, FallbackRateSpikesEscalate) {
 }
 
 TEST(EscalationPolicyTest, DeescalationResetsTheFallbackWindow) {
-  EscalationPolicy policy(TightPolicyOptions());
-  policy.RecordPack(true);
-  policy.RecordPack(true);
+  EscalationPolicy policy;
+  RecordPacks(policy, FallbacksToEscalate(), /*fell_back=*/true);
   ASSERT_TRUE(policy.escalated());
   // Packs while escalated do not feed the EMA; after the hold plus a clear
   // divergence reading the policy releases with a fresh window.
-  for (int i = 0; i < 3; ++i) {
-    policy.RecordPack(false);
-  }
+  RecordPacks(policy, Policy::kMinHoldPacks, /*fell_back=*/false);
   policy.RecordDivergence(0.0);
   ASSERT_FALSE(policy.escalated());
   EXPECT_DOUBLE_EQ(policy.fallback_rate(), 0.0);
-  // One fallback alone (EMA 0.5 < 0.60) must not re-escalate.
-  policy.RecordPack(true);
+  // A fresh window needs the full run of fallbacks again to re-escalate.
+  RecordPacks(policy, FallbacksToEscalate() - 1, /*fell_back=*/true);
   EXPECT_FALSE(policy.escalated());
   EXPECT_EQ(policy.escalations(), 1);
 }
 
 TEST(EscalationPolicyTest, ReescalationCountsEpisodes) {
-  EscalationPolicy policy(TightPolicyOptions());
+  EscalationPolicy policy;
   for (int episode = 0; episode < 3; ++episode) {
-    policy.RecordDivergence(0.3);
+    policy.RecordDivergence(2.0 * Policy::kDivergenceEnter);
     ASSERT_TRUE(policy.escalated());
-    for (int i = 0; i < 3; ++i) {
-      policy.RecordPack(false);
-    }
+    RecordPacks(policy, Policy::kMinHoldPacks, /*fell_back=*/false);
     policy.RecordDivergence(0.0);
     ASSERT_FALSE(policy.escalated());
   }

@@ -172,7 +172,7 @@ TEST_F(ConfigDiffTest, MigrationCostPricesDelaysAtDestinationRate) {
   const ConfigDiff diff = DiffConfig(context_, moved);
   // Same type + overlap => matched, no migration, no cost.
   EXPECT_DOUBLE_EQ(
-      EstimateMigrationCost(context_, diff, CloudDelayModel{}, 1.0), 0.0);
+      EstimateMigrationCost(context_, diff, 1.0), 0.0);
 
   // Now a genuinely different layout: move the task to a p3.2xlarge.
   ClusterConfig relocated;
@@ -182,7 +182,7 @@ TEST_F(ConfigDiffTest, MigrationCostPricesDelaysAtDestinationRate) {
   ASSERT_EQ(diff2.NumMigrations(), 1);
   const Money expected = CostForUptime(3.06, 209.0) /* provisioning */ +
                          CostForUptime(3.06, 45.0) /* ckpt+launch */;
-  EXPECT_NEAR(EstimateMigrationCost(context_, diff2, CloudDelayModel{}, 1.0), expected, 1e-9);
+  EXPECT_NEAR(EstimateMigrationCost(context_, diff2, 1.0), expected, 1e-9);
 }
 
 TEST_F(ConfigDiffTest, MigrationCostScalesWithMultiplier) {
@@ -191,8 +191,8 @@ TEST_F(ConfigDiffTest, MigrationCostScalesWithMultiplier) {
   ClusterConfig config;
   config.instances.push_back({p3_2x_, kInvalidInstanceId, {1}});
   const ConfigDiff diff = DiffConfig(context_, config);
-  const Money base = EstimateMigrationCost(context_, diff, CloudDelayModel{}, 1.0);
-  const Money doubled = EstimateMigrationCost(context_, diff, CloudDelayModel{}, 2.0);
+  const Money base = EstimateMigrationCost(context_, diff, 1.0);
+  const Money doubled = EstimateMigrationCost(context_, diff, 2.0);
   // Only the job launch delay scales; provisioning stays fixed.
   const Money launch_part = CostForUptime(3.06, WorkloadRegistry::Get(3).launch_delay_s);
   EXPECT_NEAR(doubled - base, launch_part, 1e-9);

@@ -165,7 +165,7 @@ TEST(ClusterStateTest, DeactivateJobRecordsCompletion) {
   EXPECT_EQ(state.num_active(), 0);
 }
 
-TEST(ClusterStateTest, BuildContextListsActiveJobsAndLiveInstances) {
+TEST(ClusterStateTest, FillContextListsActiveJobsAndLiveInstances) {
   const InstanceCatalog catalog = TestCatalog();
   ClusterState state(catalog);
   JobRec& active_job = state.AddJob(TestJob(0));
@@ -176,7 +176,8 @@ TEST(ClusterStateTest, BuildContextListsActiveJobsAndLiveInstances) {
   state.Condemn(condemned.id);
   state.SetTarget(*state.FindTask(active_job.tasks[0]), live.id);
 
-  const SchedulingContext context = state.BuildContext(/*now=*/250.0);
+  SchedulingContext context;
+  state.FillContext(/*now=*/250.0, context);
   EXPECT_EQ(context.now_s, 250.0);
   ASSERT_EQ(context.tasks.size(), 1u);  // Only the active job's task.
   EXPECT_EQ(context.tasks[0].job, 0);
@@ -228,7 +229,8 @@ TEST(ClusterStateDeltaTest, AccumulatesAndDrainsRoundDeltas) {
   TaskRec& task = *state.FindTask(job.tasks[0]);
   state.SetTarget(task, inst_id);
 
-  RoundDelta delta = state.TakeRoundDelta();
+  RoundDelta delta;
+  state.DrainRoundDelta(delta);
   EXPECT_TRUE(delta.complete);
   EXPECT_EQ(delta.jobs_arrived, std::vector<JobId>{7});
   EXPECT_EQ(delta.tasks_retargeted, std::vector<TaskId>{task.id});
@@ -239,7 +241,7 @@ TEST(ClusterStateDeltaTest, AccumulatesAndDrainsRoundDeltas) {
 
   // Draining resets the accumulator: a quiescent window yields an empty
   // (but complete) delta.
-  delta = state.TakeRoundDelta();
+  state.DrainRoundDelta(delta);
   EXPECT_TRUE(delta.complete);
   EXPECT_TRUE(delta.Empty());
 
@@ -248,7 +250,7 @@ TEST(ClusterStateDeltaTest, AccumulatesAndDrainsRoundDeltas) {
   state.DeactivateJob(*state.FindJob(7), 100.0);
   state.Condemn(inst_id);
   EXPECT_TRUE(state.MaybeTerminate(inst_id, 100.0));
-  delta = state.TakeRoundDelta();
+  state.DrainRoundDelta(delta);
   EXPECT_EQ(delta.jobs_completed, std::vector<JobId>{7});
   EXPECT_EQ(delta.instances_terminated, std::vector<InstanceId>{inst_id});
   EXPECT_TRUE(delta.jobs_arrived.empty());

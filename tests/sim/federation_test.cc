@@ -206,6 +206,41 @@ TEST(FederationTest, SingleTenantPassThroughMatchesPlainRun) {
   EXPECT_EQ(federated.tenants[0].metrics.spot_cost, 0.0);
 }
 
+// The finite-pool counterpart of the pass-through: one tenant on capped
+// pools, with spot preemptions and fault kills on, runs the barrier loop,
+// and must still equal a standalone run with the same provider and fault
+// options on a private provider.
+TEST(FederationTest, SingleTenantCappedFederationMatchesStandaloneRun) {
+  const std::vector<FederationTenant> tenants = MakeTenants(/*jobs_per_tenant=*/200);
+  ASSERT_FALSE(tenants.empty());
+  const FederationTenant& tenant = tenants.front();
+
+  FederationOptions options;
+  options.provider.enabled = true;
+  options.provider.family_capacity = {4, 10, 6};
+  options.provider.spot.enabled = true;
+  options.provider.spot.seed = 4242;
+  options.provider.spot.spike_probability = 0.06;
+  options.simulator.faults.enabled = true;
+  options.simulator.faults.seed = 97;
+  options.simulator.seed = 5;
+  const FederationResult federated = RunFederation({tenant}, options);
+  ASSERT_EQ(federated.tenants.size(), 1u);
+  EXPECT_GT(federated.stats.barriers, 0);
+
+  SimulatorOptions standalone = options.simulator;
+  standalone.provider = options.provider;
+  SchedulerBundle bundle = MakeScheduler(tenant.kind, options.interference, options.eva);
+  const SimulationMetrics alone = RunSimulation(tenant.trace, bundle.scheduler.get(),
+                                                options.catalog, options.interference,
+                                                standalone);
+  ExpectBitIdentical(federated.tenants[0].metrics, alone);
+  // The regime engages all three capacity-loss and admission paths.
+  EXPECT_GT(alone.acquisitions_denied, 0);
+  EXPECT_GT(alone.spot_preemptions, 0);
+  EXPECT_GT(alone.faults.instances_killed, 0);
+}
+
 // 100 ScaleTrace shards of the 2,000-job trace, 6 jobs each — the
 // production-tenant-count scenario of the pool-size determinism tests.
 std::vector<FederationTenant> MakeHundredTenants() {
